@@ -35,6 +35,7 @@ use lalrcex_grammar::{Grammar, GrammarError};
 
 use crate::engine::Engine;
 use crate::error::EngineError;
+use crate::stats::PrecomputeTimes;
 
 /// 64-bit FNV-1a over the grammar text: the cache key.
 pub fn content_hash(text: &str) -> u64 {
@@ -196,9 +197,11 @@ pub struct CacheEntryStats {
     /// The entry's total charge: [`Engine::estimated_bytes`], freshly
     /// re-sampled (spine memo *and* provenance tables grow after build).
     pub bytes: usize,
-    /// The provenance-table share of `bytes` (`0` until the entry's first
+    /// The provenance share of `bytes` (`0` until the entry's first
     /// `explain`).
     pub provenance_bytes: usize,
+    /// The time the entry's engine took to build, per layer.
+    pub precompute: PrecomputeTimes,
 }
 
 struct Entry {
@@ -410,6 +413,7 @@ impl EngineCache {
                     text_bytes: e.engine.text().len(),
                     bytes,
                     provenance_bytes: e.engine.engine().provenance_bytes(),
+                    precompute: e.engine.engine().precompute_times(),
                 },
             ));
         }

@@ -37,7 +37,7 @@ use crate::provenance::{self, GrammarProvenance};
 use crate::report::{CexConfig, ConflictOutcome, ConflictReport, ExampleKind, GrammarReport};
 use crate::search::{unifying_search_session, SearchConfig, SearchOutcome, UnifyingExample};
 use crate::state_graph::{StateGraph, StateItemId};
-use crate::stats::{GrammarStats, SearchStats};
+use crate::stats::{GrammarStats, PrecomputeTimes, SearchStats};
 
 /// A memoized §4 spine: the shortest lookahead-sensitive path to a
 /// conflict's reduce item, plus the derived state set that prunes the
@@ -59,7 +59,7 @@ pub struct Engine<'g> {
     auto: Automaton,
     tables: Tables,
     graph: StateGraph,
-    precompute: Duration,
+    precompute: PrecomputeTimes,
     memo: Mutex<HashMap<(StateItemId, usize), Arc<Spine>>>,
     prov: Mutex<Option<Arc<GrammarProvenance>>>,
 }
@@ -124,16 +124,24 @@ impl<'g> Engine<'g> {
     /// Builds all conflict-independent state for `g`: automaton, tables,
     /// state-item graph (with reverse edges), and an empty spine memo.
     pub fn new(g: &'g Grammar) -> Engine<'g> {
-        let t0 = Instant::now();
         let auto = Automaton::build(g);
+        let t0 = Instant::now();
         let tables = auto.tables(g);
+        let t1 = Instant::now();
         let graph = StateGraph::build(g, &auto);
+        let (lr0, lookaheads) = auto.build_times();
+        let precompute = PrecomputeTimes {
+            lr0,
+            lookaheads,
+            tables: t1 - t0,
+            state_graph: t1.elapsed(),
+        };
         Engine {
             g,
             auto,
             tables,
             graph,
-            precompute: t0.elapsed(),
+            precompute,
             memo: Mutex::new(HashMap::new()),
             prov: Mutex::new(None),
         }
@@ -186,27 +194,30 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// Time spent building the conflict-independent state.
-    pub fn precompute_time(&self) -> Duration {
+    /// Time spent building the conflict-independent state, per layer.
+    pub fn precompute_times(&self) -> PrecomputeTimes {
         self.precompute
     }
 
-    /// A rough estimate of this engine's resident bytes — automaton items
-    /// and lookahead sets, state transitions, state-item graph nodes, and
-    /// the current spine memo. Not an allocator truth: it feeds the
-    /// [`crate::cache::EngineCache`] byte-budget eviction, the same style
-    /// of estimated live-byte accounting the search memory governor uses.
+    /// A rough estimate of this engine's resident bytes — automaton items,
+    /// lookahead sets (one per kernel item and one `Follow` row per goto,
+    /// which closure items share), state transitions, the relation edges,
+    /// state-item graph nodes, and the current spine memo. Not an
+    /// allocator truth: it feeds the [`crate::cache::EngineCache`]
+    /// byte-budget eviction, the same style of estimated live-byte
+    /// accounting the search memory governor uses.
     pub fn estimated_bytes(&self) -> usize {
         let tset_bytes = self.g.terminal_count().div_ceil(8) + 24;
-        let mut items = 0usize;
-        let mut transitions = 0usize;
+        let rel = self.auto.relations();
+        let mut bytes = 256
+            + rel.estimated_bytes()
+            + rel.goto_count() * tset_bytes
+            + self.graph.node_count() * 96;
         for id in self.auto.state_ids() {
             let st = self.auto.state(id);
-            items += st.items().len();
-            transitions += st.transitions().len();
+            bytes +=
+                st.items().len() * 12 + st.kernel_len() * tset_bytes + st.transitions().len() * 16;
         }
-        let mut bytes =
-            256 + items * (8 + tset_bytes) + transitions * 16 + self.graph.node_count() * 96;
         let memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
         for spine in memo.values() {
             bytes += 64
@@ -221,8 +232,8 @@ impl<'g> Engine<'g> {
         bytes
     }
 
-    /// The provenance-table share of [`Engine::estimated_bytes`]: `0` until
-    /// the first successful [`Engine::provenance`] call builds the tables.
+    /// The provenance share of [`Engine::estimated_bytes`]: `0` until the
+    /// first successful [`Engine::provenance`] call.
     pub fn provenance_bytes(&self) -> usize {
         self.prov
             .lock()
@@ -231,14 +242,14 @@ impl<'g> Engine<'g> {
             .map_or(0, |p| p.estimated_bytes())
     }
 
-    /// The lookahead provenance analysis for this grammar: DeRemer–Pennello
-    /// relation tables, per-conflict classification (true-ambiguity
-    /// candidate / LALR merge artifact / precedence-resolved), and the
-    /// provenance chains that carried each conflict terminal. Computed once
-    /// per engine and memoized, like the spine memo; byte-deterministic at
-    /// any worker count.
+    /// The lookahead provenance analysis for this grammar: per-conflict
+    /// classification (true-ambiguity candidate / LALR merge artifact /
+    /// precedence-resolved) and the chains of the automaton's
+    /// DeRemer–Pennello relation edges that carried each conflict terminal.
+    /// Computed once per engine and memoized, like the spine memo;
+    /// byte-deterministic at any worker count.
     ///
-    /// The relation-table build runs under containment (phase
+    /// The analysis runs under containment (phase
     /// `"provenance.compute"`, with a fault-injection probe of the same
     /// name); a fault there fails the whole query. Per-conflict
     /// classification faults are contained *inside* the analysis, one slot

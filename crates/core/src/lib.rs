@@ -67,7 +67,7 @@ pub use nonunifying::{nonunifying_example, NonunifyingExample};
 pub use provenance::{
     format_provenance, render_chain_step, ChainStep, Classification, ClassificationCounts,
     ConflictProvenance, GrammarProvenance, MergeEvidence, MergeVariant, ProvenanceOutcome,
-    ProvenanceTables, ResolutionProvenance,
+    ResolutionProvenance,
 };
 pub use report::{
     analyze, display_item_cup, format_report, Analyzer, CexConfig, ConflictOutcome, ConflictReport,
@@ -79,7 +79,8 @@ pub use search::{
 };
 pub use state_graph::{NodeSet, StateGraph, StateItemId};
 pub use stats::{
-    format_conflict_stats, format_grammar_stats, GrammarStats, SearchMetrics, SearchStats,
+    format_conflict_stats, format_grammar_stats, GrammarStats, PrecomputeTimes, SearchMetrics,
+    SearchStats,
 };
 
 /// Test-only hook exposing the Figure 5(b) backward search candidates.

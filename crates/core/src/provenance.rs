@@ -2,22 +2,12 @@
 //!
 //! The counterexample engine shows *that* a conflict is real; this module
 //! explains *why* the offending lookahead terminal reaches the conflicted
-//! state at all. It recomputes the LALR(1) lookahead sets from first
-//! principles with the DeRemer–Pennello relations over the goto graph —
-//!
-//! * `DR(p, A)` — terminals shifted directly out of `goto(p, A)`;
-//! * `(p, A) reads (r, C)` — `goto(p, A) = r` and `r` has a transition on
-//!   a *nullable* nonterminal `C`, so whatever follows `C` can follow `A`;
-//! * `(p, A) includes (p', B)` — some production `B -> β A γ` with
-//!   `γ =>* ε` lets `A`'s context inherit `B`'s context, where `p'`
-//!   reaches `p` spelling `β`;
-//! * `(q, A -> ω) lookback (p, A)` — `p` reaches `q` spelling `ω`, so the
-//!   reduction's lookahead in `q` is `Follow(p, A)`
-//!
-//! — and keeps the *edges* of those relations, not just the fixpoint sets.
-//! That is what lets it answer provenance queries: for a conflict on
-//! terminal `t`, a breadth-first walk over the kept edges produces the
-//! shortest concrete chain of `lookback`/`includes`/`reads` steps that
+//! state at all. It walks the DeRemer–Pennello `lookback`, `includes`
+//! and `reads` edges the automaton computed its LALR(1) lookaheads from
+//! and keeps ([`lalrcex_lr::Relations`]), so the explained sets are the
+//! automaton's own — equal by construction, not by cross-check, and
+//! nothing is recomputed. For a conflict on terminal `t`, a breadth-first
+//! walk over the edges produces the shortest concrete chain of steps that
 //! propagated `t` into the conflicted item's lookahead — rendered as a
 //! spanned, deterministic explanation.
 //!
@@ -52,7 +42,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use lalrcex_grammar::{Analysis, Grammar, ProdId, SymbolId, SymbolKind, TerminalSet};
+use lalrcex_grammar::{Analysis, Grammar, ProdId, SymbolId, TerminalSet};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, Item, Resolution, StateId, Tables};
 
 use crate::contain::contain;
@@ -296,330 +286,114 @@ impl GrammarProvenance {
 }
 
 // ---------------------------------------------------------------------------
-// The DeRemer–Pennello tables.
+// Provenance chains over the automaton's relations.
 // ---------------------------------------------------------------------------
 
-/// The relation tables: one row per nonterminal (goto) transition, with
-/// the `reads`/`includes` edges kept for provenance queries.
-pub struct ProvenanceTables {
-    nterm: usize,
-    /// Every goto transition `(p, A)`, sorted by `(p, A)`.
-    gotos: Vec<(StateId, SymbolId)>,
-    /// `(state index, symbol index) -> goto row`.
-    lookup: HashMap<(u32, u32), u32>,
-    /// `DR(p, A)` — terminals shifted directly out of `goto(p, A)`.
-    direct_read: Vec<TerminalSet>,
-    /// `Read(p, A)` — `DR` closed over `reads`.
-    read: Vec<TerminalSet>,
-    /// `Follow(p, A)` — `Read` closed over `includes`.
-    follow: Vec<TerminalSet>,
-    /// `reads` successors per row (sorted, deduplicated).
-    reads: Vec<Vec<u32>>,
-    /// `includes` successors per row (sorted, deduplicated), with one
-    /// witness production each.
-    includes: Vec<Vec<(u32, ProdId)>>,
-}
+/// The shortest chain of relation edges that carried dense terminal
+/// `tindex` into the lookahead of reduction `(q, prod)` — `lookback`, then
+/// `includes*`, then `reads*`, ending in the direct read. Empty when the
+/// terminal is not in that lookahead (callers treat that as "no chain").
+fn chain(g: &Grammar, auto: &Automaton, q: StateId, prod: ProdId, tindex: usize) -> Vec<ChainStep> {
+    let rel = auto.relations();
+    let Some(start) = rel
+        .lookback(q, prod)
+        .find(|&row| auto.follow(row).contains(tindex))
+    else {
+        return Vec::new();
+    };
+    let terminal = g.terminal(tindex);
 
-/// Walks `from` along `seq` in the automaton; `None` if a transition is
-/// missing (cannot happen for viable prefixes, but the analysis degrades
-/// instead of panicking).
-fn walk(auto: &Automaton, from: StateId, seq: &[SymbolId]) -> Option<StateId> {
-    let mut cur = from;
-    for &s in seq {
-        cur = auto.state(cur).transition(s)?;
-    }
-    Some(cur)
-}
+    // BFS over the kept edges, in two modes: `Follow` may take `includes`
+    // or `reads` edges; once a `reads` edge is taken only further `reads`
+    // edges are valid. Edge guards (`Follow` contains the terminal) keep
+    // the walk on rows that can still carry it; a row whose `Read` lacks
+    // it is a dead end the guard admits, and never a goal, so the chain
+    // found is the shortest one either way. Expansion order is
+    // deterministic (row order).
+    const MODE_FOLLOW: usize = 0;
+    const MODE_READ: usize = 1;
+    let n = rel.goto_count();
+    let mut parent: Vec<Option<(usize, ChainStep)>> = vec![None; 2 * n];
+    let mut queue = std::collections::VecDeque::new();
+    let enc = |mode: usize, row: usize| mode * n + row;
+    queue.push_back(enc(MODE_FOLLOW, start));
+    let mut goal: Option<usize> = None;
+    let mut seen = vec![false; 2 * n];
+    seen[enc(MODE_FOLLOW, start)] = true;
 
-impl ProvenanceTables {
-    /// Builds every relation table for `g`'s automaton. Pure and
-    /// deterministic; cost is a small fixpoint over the goto graph.
-    pub fn build(g: &Grammar, auto: &Automaton) -> ProvenanceTables {
-        let analysis = auto.analysis();
-        let nterm = g.terminal_count();
-
-        let mut gotos: Vec<(StateId, SymbolId)> = Vec::new();
-        for sid in auto.state_ids() {
-            for &(sym, _) in auto.state(sid).transitions() {
-                if g.is_nonterminal(sym) {
-                    gotos.push((sid, sym));
-                }
+    while let Some(node) = queue.pop_front() {
+        let (mode, row) = (node / n, node % n);
+        let (p, a) = rel.goto(row);
+        let target = auto.state(p).transition(a);
+        if target.is_some_and(|r| auto.state(r).transition(terminal).is_some()) {
+            goal = Some(node);
+            break;
+        }
+        for j in rel.reads(row) {
+            let next = enc(MODE_READ, j);
+            if !seen[next] && auto.follow(j).contains(tindex) {
+                seen[next] = true;
+                parent[next] = Some((
+                    node,
+                    ChainStep::Reads {
+                        from_state: p,
+                        from_nt: a,
+                        via_state: target.unwrap_or(p),
+                        nullable_nt: rel.goto(j).1,
+                    },
+                ));
+                queue.push_back(next);
             }
         }
-        let lookup: HashMap<(u32, u32), u32> = gotos
-            .iter()
-            .enumerate()
-            .map(|(i, &(p, a))| ((p.index() as u32, a.index() as u32), i as u32))
-            .collect();
-
-        // DR and reads: look one step past each goto target.
-        let mut direct_read = vec![TerminalSet::empty(nterm); gotos.len()];
-        let mut reads: Vec<Vec<u32>> = vec![Vec::new(); gotos.len()];
-        for (i, &(p, a)) in gotos.iter().enumerate() {
-            let Some(r) = auto.state(p).transition(a) else {
-                continue;
-            };
-            for &(sym, _) in auto.state(r).transitions() {
-                match g.kind(sym) {
-                    SymbolKind::Terminal => {
-                        direct_read[i].insert(g.tindex(sym));
-                    }
-                    SymbolKind::Nonterminal => {
-                        if analysis.nullable(sym) {
-                            if let Some(&j) = lookup.get(&(r.index() as u32, sym.index() as u32)) {
-                                reads[i].push(j);
-                            }
-                        }
-                    }
-                }
-            }
-            reads[i].sort_unstable();
-            reads[i].dedup();
-        }
-
-        // Read = DR closed over reads.
-        let mut read = direct_read.clone();
-        loop {
-            let mut changed = false;
-            for i in 0..gotos.len() {
-                for &j in &reads[i] {
-                    let snap = read[j as usize].clone();
-                    changed |= read[i].union_with(&snap);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // includes: for each goto (p', B) and production B -> β A γ with γ
-        // nullable, (state-at-β, A) includes (p', B).
-        let mut includes: Vec<Vec<(u32, ProdId)>> = vec![Vec::new(); gotos.len()];
-        for (j, &(p_outer, b)) in gotos.iter().enumerate() {
-            for &pid in g.prods_of(b) {
-                let rhs = g.prod(pid).rhs();
-                let mut cur = p_outer;
-                for (k, &sym) in rhs.iter().enumerate() {
-                    if g.is_nonterminal(sym) {
-                        let tail_nullable = rhs[k + 1..].iter().all(|&s| analysis.nullable(s));
-                        if tail_nullable {
-                            if let Some(&i) = lookup.get(&(cur.index() as u32, sym.index() as u32))
-                            {
-                                includes[i as usize].push((j as u32, pid));
-                            }
-                        }
-                    }
-                    match auto.state(cur).transition(sym) {
-                        Some(next) => cur = next,
-                        None => break,
-                    }
-                }
-            }
-        }
-        for row in &mut includes {
-            row.sort_unstable();
-            row.dedup_by_key(|&mut (j, _)| j);
-        }
-
-        // Follow = Read closed over includes.
-        let mut follow = read.clone();
-        loop {
-            let mut changed = false;
-            for i in 0..gotos.len() {
-                for &(j, _) in &includes[i] {
-                    let snap = follow[j as usize].clone();
-                    changed |= follow[i].union_with(&snap);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        ProvenanceTables {
-            nterm,
-            gotos,
-            lookup,
-            direct_read,
-            read,
-            follow,
-            reads,
-            includes,
-        }
-    }
-
-    /// Number of goto transitions (rows).
-    pub fn goto_count(&self) -> usize {
-        self.gotos.len()
-    }
-
-    /// The row index of goto `(p, a)`, if `p` has a transition on `a`.
-    pub fn row(&self, p: StateId, a: SymbolId) -> Option<usize> {
-        self.lookup
-            .get(&(p.index() as u32, a.index() as u32))
-            .map(|&i| i as usize)
-    }
-
-    /// `Follow(p, A)` for a row.
-    pub fn follow_of(&self, row: usize) -> &TerminalSet {
-        &self.follow[row]
-    }
-
-    /// The `lookback` sources of reduction `(q, prod)`: every goto row
-    /// `(p, lhs(prod))` with `p` reaching `q` spelling `rhs(prod)`, in row
-    /// order.
-    pub fn lookback(&self, g: &Grammar, auto: &Automaton, q: StateId, prod: ProdId) -> Vec<usize> {
-        let lhs = g.prod(prod).lhs();
-        let rhs = g.prod(prod).rhs();
-        self.gotos
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(p, a))| a == lhs && walk(auto, p, rhs) == Some(q))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The LALR(1) lookahead of reduction `(q, prod)` recomputed from the
-    /// relations: the union of `Follow` over the `lookback` sources. Used
-    /// by the self-check tests against the automaton's propagation-based
-    /// sets.
-    pub fn lookahead(
-        &self,
-        g: &Grammar,
-        auto: &Automaton,
-        q: StateId,
-        prod: ProdId,
-    ) -> TerminalSet {
-        let mut la = TerminalSet::empty(self.nterm);
-        for row in self.lookback(g, auto, q, prod) {
-            la.union_with(&self.follow[row]);
-        }
-        la
-    }
-
-    /// The shortest chain of relation edges that carried dense terminal
-    /// `tindex` into the lookahead of reduction `(q, prod)` — `lookback`,
-    /// then `includes*`, then `reads*`, ending in the direct read. Empty
-    /// when the terminal is not in the recomputed lookahead (callers treat
-    /// that as "no chain").
-    pub fn chain(
-        &self,
-        g: &Grammar,
-        auto: &Automaton,
-        q: StateId,
-        prod: ProdId,
-        tindex: usize,
-    ) -> Vec<ChainStep> {
-        let Some(&start) = self
-            .lookback(g, auto, q, prod)
-            .iter()
-            .find(|&&row| self.follow[row].contains(tindex))
-        else {
-            return Vec::new();
-        };
-
-        // BFS over the kept edges, in two modes: `Follow` may take
-        // `includes` or `reads` edges; once a `reads` edge is taken only
-        // further `reads` edges are valid. Edge guards (`contains`) keep
-        // the walk on productive rows, so the BFS always terminates at a
-        // direct read. Expansion order is deterministic (row order).
-        const MODE_FOLLOW: usize = 0;
-        const MODE_READ: usize = 1;
-        let n = self.gotos.len();
-        let mut parent: Vec<Option<(usize, ChainStep)>> = vec![None; 2 * n];
-        let mut queue = std::collections::VecDeque::new();
-        let enc = |mode: usize, row: usize| mode * n + row;
-        queue.push_back(enc(MODE_FOLLOW, start));
-        let mut goal: Option<usize> = None;
-        let mut seen = vec![false; 2 * n];
-        seen[enc(MODE_FOLLOW, start)] = true;
-
-        while let Some(node) = queue.pop_front() {
-            let (mode, row) = (node / n, node % n);
-            if self.direct_read[row].contains(tindex) {
-                goal = Some(node);
-                break;
-            }
-            let (p, a) = self.gotos[row];
-            for &j in &self.reads[row] {
-                let next = enc(MODE_READ, j as usize);
-                if !seen[next] && self.read[j as usize].contains(tindex) {
+        if mode == MODE_FOLLOW {
+            for (j, via_prod) in rel.includes(row) {
+                let next = enc(MODE_FOLLOW, j);
+                if !seen[next] && auto.follow(j).contains(tindex) {
                     seen[next] = true;
-                    let (_, c) = self.gotos[j as usize];
-                    let via_state = auto.state(p).transition(a).unwrap_or(p);
+                    let (to_state, to_nt) = rel.goto(j);
                     parent[next] = Some((
                         node,
-                        ChainStep::Reads {
+                        ChainStep::Includes {
                             from_state: p,
                             from_nt: a,
-                            via_state,
-                            nullable_nt: c,
+                            to_state,
+                            to_nt,
+                            via_prod,
                         },
                     ));
                     queue.push_back(next);
                 }
             }
-            if mode == MODE_FOLLOW {
-                for &(j, via_prod) in &self.includes[row] {
-                    let next = enc(MODE_FOLLOW, j as usize);
-                    if !seen[next] && self.follow[j as usize].contains(tindex) {
-                        seen[next] = true;
-                        let (tp, tb) = self.gotos[j as usize];
-                        parent[next] = Some((
-                            node,
-                            ChainStep::Includes {
-                                from_state: p,
-                                from_nt: a,
-                                to_state: tp,
-                                to_nt: tb,
-                                via_prod,
-                            },
-                        ));
-                        queue.push_back(next);
-                    }
-                }
-            }
         }
-
-        let Some(goal) = goal else {
-            // Unreachable for a terminal the fixpoint placed in Follow, but
-            // degrade to "no chain" rather than trusting that invariant.
-            return Vec::new();
-        };
-
-        let mut steps = Vec::new();
-        let goal_row = goal % n;
-        let (gp, ga) = self.gotos[goal_row];
-        steps.push(ChainStep::DirectRead {
-            state: gp,
-            nonterminal: ga,
-            shift_state: auto.state(gp).transition(ga).unwrap_or(gp),
-            terminal: g.terminal(tindex),
-        });
-        let mut cur = goal;
-        while let Some((prev, step)) = parent[cur] {
-            steps.push(step);
-            cur = prev;
-        }
-        let (sp, sa) = self.gotos[start];
-        steps.push(ChainStep::Lookback {
-            conflict_state: q,
-            prod,
-            goto_state: sp,
-            nonterminal: sa,
-        });
-        steps.reverse();
-        steps
     }
 
-    /// Estimated resident bytes of the tables.
-    pub fn estimated_bytes(&self) -> usize {
-        let tset = self.nterm.div_ceil(64) * 8 + 16;
-        let rows = self.gotos.len();
-        let edges: usize = self.reads.iter().map(Vec::len).sum::<usize>()
-            + self.includes.iter().map(Vec::len).sum::<usize>() * 2;
-        rows * (8 + 3 * tset + 2 * 24) + edges * 4 + rows * 16
+    let Some(goal) = goal else {
+        // Unreachable for a terminal the closure placed in Follow, but
+        // degrade to "no chain" rather than trusting that invariant.
+        return Vec::new();
+    };
+
+    let (gp, ga) = rel.goto(goal % n);
+    let mut steps = vec![ChainStep::DirectRead {
+        state: gp,
+        nonterminal: ga,
+        shift_state: auto.state(gp).transition(ga).unwrap_or(gp),
+        terminal,
+    }];
+    let mut cur = goal;
+    while let Some((prev, step)) = parent[cur] {
+        steps.push(step);
+        cur = prev;
     }
+    let (sp, sa) = rel.goto(start);
+    steps.push(ChainStep::Lookback {
+        conflict_state: q,
+        prod,
+        goto_state: sp,
+        nonterminal: sa,
+    });
+    steps.reverse();
+    steps
 }
 
 // ---------------------------------------------------------------------------
@@ -627,62 +401,36 @@ impl ProvenanceTables {
 // ---------------------------------------------------------------------------
 
 /// Canonical LR(1) closure of `kernel` (items with lookahead sets),
-/// returned sorted by item. Same fixpoint shape as the automaton's
-/// per-state closure, but on canonical (per-context) lookaheads.
+/// returned sorted by item: `[A -> α · B β, L]` adds `[B -> · γ, FIRST(β L)]`
+/// for every production of `B`, closed by a worklist.
 fn lr1_closure(
     g: &Grammar,
     analysis: &Analysis,
     kernel: &[(Item, TerminalSet)],
 ) -> Vec<(Item, TerminalSet)> {
-    let nterm = g.terminal_count();
-    let mut items: Vec<Item> = kernel.iter().map(|&(it, _)| it).collect();
-    let mut las: Vec<TerminalSet> = kernel.iter().map(|(_, la)| la.clone()).collect();
-    let mut pos: HashMap<Item, usize> = items.iter().enumerate().map(|(i, &it)| (it, i)).collect();
-    let mut idx = 0;
-    while idx < items.len() {
-        let it = items[idx];
-        idx += 1;
-        if let Some(next) = it.next_symbol(g) {
-            if g.kind(next) == SymbolKind::Nonterminal {
-                for &pid in g.prods_of(next) {
-                    let start = Item::start(pid);
-                    if let std::collections::hash_map::Entry::Vacant(e) = pos.entry(start) {
-                        e.insert(items.len());
-                        items.push(start);
-                        las.push(TerminalSet::empty(nterm));
-                    }
-                }
+    let mut items: Vec<(Item, TerminalSet)> = kernel.to_vec();
+    let mut pos: HashMap<Item, usize> = items.iter().enumerate().map(|(i, e)| (e.0, i)).collect();
+    let mut work: Vec<usize> = (0..items.len()).collect();
+    while let Some(i) = work.pop() {
+        let it = items[i].0;
+        let Some(next) = it.next_symbol(g).filter(|&s| g.is_nonterminal(s)) else {
+            continue;
+        };
+        let add = analysis.first_of_seq(g, &it.tail(g)[1..], &items[i].1);
+        for &pid in g.prods_of(next) {
+            let start = Item::start(pid);
+            let j = *pos.entry(start).or_insert_with(|| {
+                work.push(items.len());
+                items.push((start, TerminalSet::empty(g.terminal_count())));
+                items.len() - 1
+            });
+            if items[j].1.union_with(&add) {
+                work.push(j);
             }
         }
     }
-    loop {
-        let mut changed = false;
-        for i in 0..items.len() {
-            let it = items[i];
-            let Some(next) = it.next_symbol(g) else {
-                continue;
-            };
-            if g.kind(next) != SymbolKind::Nonterminal {
-                continue;
-            }
-            let beta = &it.tail(g)[1..];
-            let mut add = analysis.first_of_seq(g, beta, &TerminalSet::empty(nterm));
-            if analysis.seq_nullable(g, beta) {
-                let snap = las[i].clone();
-                add.union_with(&snap);
-            }
-            for &pid in g.prods_of(next) {
-                let j = pos[&Item::start(pid)];
-                changed |= las[j].union_with(&add);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut out: Vec<(Item, TerminalSet)> = items.into_iter().zip(las).collect();
-    out.sort_by_key(|&(it, _)| it);
-    out
+    items.sort_by_key(|&(it, _)| it);
+    items
 }
 
 /// The reduce items (item, lookahead) of one canonical variant of an
@@ -808,12 +556,11 @@ fn lalr_core(auto: &Automaton, q: StateId) -> Vec<Item> {
 fn classify_conflict(
     g: &Grammar,
     auto: &Automaton,
-    tables: &ProvenanceTables,
     lr1: Option<&Lr1Exploration>,
     conflict: &Conflict,
 ) -> ConflictProvenance {
     let tindex = g.tindex(conflict.terminal);
-    let chain = tables.chain(g, auto, conflict.state, conflict.reduce_prod, tindex);
+    let chain = chain(g, auto, conflict.state, conflict.reduce_prod, tindex);
 
     let (classification, lr1_checked, merge) = match conflict.kind {
         // Merging equal-core LR(1) states never introduces a shift/reduce
@@ -885,9 +632,10 @@ fn classify_conflict(
     }
 }
 
-/// Runs the full provenance analysis for a grammar: builds the relation
-/// tables, explores canonical LR(1) when a reduce/reduce conflict needs
-/// the merge check, and classifies every conflict and resolution.
+/// Runs the full provenance analysis for a grammar: explores canonical
+/// LR(1) when a reduce/reduce conflict needs the merge check, and
+/// classifies every conflict and resolution, walking the automaton's
+/// relation edges for the chains.
 ///
 /// Each conflict slot is classified inside its own containment boundary
 /// (phase `"provenance.compute"`, probe of the same name, scoped by the
@@ -895,7 +643,6 @@ fn classify_conflict(
 /// slot leaves every other slot byte-identical.
 pub(crate) fn compute(g: &Grammar, auto: &Automaton, tables: &Tables) -> GrammarProvenance {
     let started = Instant::now();
-    let prov = ProvenanceTables::build(g, auto);
 
     let conflicts = tables.conflicts();
     let rr_cores: Vec<Vec<Item>> = {
@@ -919,7 +666,7 @@ pub(crate) fn compute(g: &Grammar, auto: &Automaton, tables: &Tables) -> Grammar
         let outcome = crate::faultpoint::with_scope(i as u64, || {
             contain("provenance.compute", || {
                 crate::fail_point!("provenance.compute");
-                classify_conflict(g, auto, &prov, lr1.as_ref(), c)
+                classify_conflict(g, auto, lr1.as_ref(), c)
             })
         });
         slots.push(match outcome {
@@ -934,27 +681,24 @@ pub(crate) fn compute(g: &Grammar, auto: &Automaton, tables: &Tables) -> Grammar
         .map(|r| ResolutionProvenance {
             resolution: *r,
             classification: Classification::PrecedenceResolved,
-            chain: prov.chain(g, auto, r.state, r.reduce_prod, g.tindex(r.terminal)),
+            chain: chain(g, auto, r.state, r.reduce_prod, g.tindex(r.terminal)),
         })
         .collect();
 
-    let bytes = prov.estimated_bytes()
-        + slots
-            .iter()
-            .map(|s| {
-                64 + s.provenance().map_or(0, |p| {
-                    p.chain.len() * std::mem::size_of::<ChainStep>()
-                        + p.merge.as_ref().map_or(0, |m| {
-                            m.variants
-                                .iter()
-                                .map(|v| {
-                                    32 + (v.reduce_lookahead.len() + v.other_lookahead.len()) * 8
-                                })
-                                .sum::<usize>()
-                        })
-                })
+    let bytes = slots
+        .iter()
+        .map(|s| {
+            64 + s.provenance().map_or(0, |p| {
+                p.chain.len() * std::mem::size_of::<ChainStep>()
+                    + p.merge.as_ref().map_or(0, |m| {
+                        m.variants
+                            .iter()
+                            .map(|v| 32 + (v.reduce_lookahead.len() + v.other_lookahead.len()) * 8)
+                            .sum::<usize>()
+                    })
             })
-            .sum::<usize>()
+        })
+        .sum::<usize>()
         + resolutions
             .iter()
             .map(|r| 64 + r.chain.len() * std::mem::size_of::<ChainStep>())
@@ -1157,61 +901,27 @@ mod tests {
     }
 
     #[test]
-    fn dp_lookaheads_match_automaton_sets() {
-        for text in [
-            "%start stmt %% stmt : 'if' expr 'then' stmt 'else' stmt | 'if' expr 'then' stmt | expr '?' stmt stmt ; expr : NUM ;",
-            "%% S : T | S T ; T : X | Y ; X : 'a' ; Y : 'a' 'a' 'b' ;",
-            "%% s : a b 'z' ; a : 'x' | ; b : 'y' | ;",
-            "%% e : e '+' e | NUM ;",
-        ] {
-            let g = Grammar::parse(text).unwrap();
-            let auto = Automaton::build(&g);
-            let prov = ProvenanceTables::build(&g, &auto);
-            for sid in auto.state_ids() {
-                let st = auto.state(sid);
-                for (i, &it) in st.items().iter().enumerate() {
-                    if !it.is_reduce(&g) || it.prod() == g.accept_prod() {
-                        continue;
-                    }
-                    let dp = prov.lookahead(&g, &auto, sid, it.prod());
-                    let auto_la = st.lookahead(i);
-                    for t in 0..g.terminal_count() {
-                        assert_eq!(
-                            dp.contains(t),
-                            auto_la.contains(t),
-                            "grammar {text:?} state {sid:?} item {} terminal {}",
-                            it.display(&g),
-                            g.display_name(g.terminal(t)),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dangling_else_chain_ends_in_direct_read_of_else() {
         let g = figure1();
         let auto = Automaton::build(&g);
         let tables = auto.tables(&g);
-        let prov = ProvenanceTables::build(&g, &auto);
         let c = tables
             .conflicts()
             .iter()
             .find(|c| g.display_name(c.terminal) == "else")
             .expect("dangling else conflict");
-        let chain = prov.chain(&g, &auto, c.state, c.reduce_prod, g.tindex(c.terminal));
-        assert!(!chain.is_empty());
-        assert!(matches!(chain[0], ChainStep::Lookback { .. }));
-        match chain.last().unwrap() {
+        let steps = chain(&g, &auto, c.state, c.reduce_prod, g.tindex(c.terminal));
+        assert!(!steps.is_empty());
+        assert!(matches!(steps[0], ChainStep::Lookback { .. }));
+        match steps.last().unwrap() {
             ChainStep::DirectRead { terminal, .. } => {
                 assert_eq!(g.display_name(*terminal), "else");
             }
             other => panic!("chain must end in a direct read, got {other:?}"),
         }
         // The explanation renders deterministically with spans.
-        let two = prov.chain(&g, &auto, c.state, c.reduce_prod, g.tindex(c.terminal));
-        assert_eq!(chain, two, "chain is deterministic");
+        let two = chain(&g, &auto, c.state, c.reduce_prod, g.tindex(c.terminal));
+        assert_eq!(steps, two, "chain is deterministic");
     }
 
     #[test]
@@ -1336,13 +1046,12 @@ mod tests {
     fn tiny_budget_degrades_to_unchecked_candidate() {
         let g = merge_artifact_grammar();
         let auto = Automaton::build(&g);
-        let prov = ProvenanceTables::build(&g, &auto);
         let tables = auto.tables(&g);
         let c = tables.conflicts()[0];
         let core = lalr_core(&auto, c.state);
         let lr1 = explore_lr1(&g, auto.analysis(), std::slice::from_ref(&core), 1);
         assert!(lr1.exhausted);
-        let p = classify_conflict(&g, &auto, &prov, Some(&lr1), &c);
+        let p = classify_conflict(&g, &auto, Some(&lr1), &c);
         assert_eq!(p.classification, Classification::TrueAmbiguityCandidate);
         assert!(!p.lr1_checked);
     }

@@ -94,12 +94,34 @@ pub struct SearchStats {
     pub time_nonunifying: Duration,
 }
 
+/// Time building the conflict-independent state shared by every conflict,
+/// one duration per layer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrecomputeTimes {
+    /// The LR(0) states.
+    pub lr0: Duration,
+    /// Grammar analyses, DeRemer–Pennello relations and per-item LALR(1)
+    /// lookaheads.
+    pub lookaheads: Duration,
+    /// Parse tables with precedence resolution.
+    pub tables: Duration,
+    /// The state-item graph with its reverse edges.
+    pub state_graph: Duration,
+}
+
+impl PrecomputeTimes {
+    /// The four layers together.
+    pub fn total(&self) -> Duration {
+        self.lr0 + self.lookaheads + self.tables + self.state_graph
+    }
+}
+
 /// Grammar-wide aggregate over all conflicts of a run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GrammarStats {
     /// Time building the conflict-independent state shared by every
-    /// conflict: LALR automaton, parse tables, state-item graph.
-    pub precompute: Duration,
+    /// conflict, per layer.
+    pub precompute: PrecomputeTimes,
     /// Worker threads used by `analyze_all`.
     pub workers: usize,
     /// Conflicts analyzed.
@@ -195,7 +217,8 @@ pub fn format_conflict_stats(s: &SearchStats) -> String {
 /// Multi-line rendering of the grammar aggregate for `--stats` output.
 pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
     format!(
-        "grammar stats: {} conflicts, {} workers, precompute {:.1}ms\n\
+        "grammar stats: {} conflicts, {} workers, precompute {:.1}ms \
+         (lr0 {:.1}ms, lookaheads {:.1}ms, tables {:.1}ms, state graph {:.1}ms)\n\
          \u{20} spine memo: {} hits / {} misses ({} LSSI nodes expanded)\n\
          \u{20} unifying search: {} explored, {} enqueued, {} deduped, frontier peak {}, {} arena cells\n\
          \u{20} memory: live-bytes peak {}, {} sheds, {} sharded batches\n\
@@ -205,7 +228,11 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
          \u{20} time: {:.1}ms wall, {:.1}ms cpu across conflicts",
         stats.conflicts,
         stats.workers,
-        stats.precompute.as_secs_f64() * 1e3,
+        stats.precompute.total().as_secs_f64() * 1e3,
+        stats.precompute.lr0.as_secs_f64() * 1e3,
+        stats.precompute.lookaheads.as_secs_f64() * 1e3,
+        stats.precompute.tables.as_secs_f64() * 1e3,
+        stats.precompute.state_graph.as_secs_f64() * 1e3,
         stats.spine_memo_hits,
         stats.spine_memo_misses,
         stats.spine_nodes,
@@ -292,6 +319,7 @@ mod tests {
         let g = GrammarStats::default();
         let out = format_grammar_stats(&g, Duration::ZERO);
         assert!(out.contains("spine memo"));
+        assert!(out.contains("lookaheads 0.0ms"));
         assert!(out.contains("unifying search"));
     }
 }

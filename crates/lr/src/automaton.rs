@@ -1,17 +1,22 @@
 //! LR(0) automaton construction with LALR(1) per-item lookahead sets.
 //!
-//! Lookaheads are computed with the classic spontaneous-generation /
-//! propagation algorithm on kernel items (equivalent to the
-//! DeRemer–Pennello LALR(1) sets), then extended to closure items by a
-//! per-state fixpoint so that *every* item of every state carries the
-//! lookahead set shown in the paper's Figure 2. The counterexample engine
-//! depends on these per-item sets.
+//! The states are built by the LR(0) canonical-collection construction;
+//! their lookaheads come from one engine, DeRemer–Pennello's relations
+//! over the goto graph (see the `lookahead` module), which gives *every*
+//! item of every state — kernel and closure — the lookahead set shown in
+//! the paper's Figure 2. Closure items share their state's `Follow` row
+//! instead of holding a copy. The counterexample engine depends on these
+//! per-item sets, and the provenance explanations walk the relation edges
+//! the automaton keeps ([`Automaton::relations`]), so both read the same
+//! computation rather than cross-checking two.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use lalrcex_grammar::{Analysis, Grammar, SymbolId, SymbolKind, TerminalSet};
 
 use crate::item::Item;
+use crate::lookahead::{self, Relations};
 use crate::table::Tables;
 
 /// Identifies a state of an [`Automaton`].
@@ -43,11 +48,15 @@ impl std::fmt::Debug for StateId {
 /// One parser state: items (kernel first), per-item lookahead sets, and
 /// outgoing transitions.
 pub struct State {
-    items: Vec<Item>,
-    lookaheads: Vec<TerminalSet>,
-    kernel_len: usize,
-    transitions: Vec<(SymbolId, StateId)>,
+    pub(crate) items: Vec<Item>,
+    pub(crate) kernel_len: usize,
+    pub(crate) transitions: Vec<(SymbolId, StateId)>,
     accessing_symbol: Option<SymbolId>,
+    /// Lookahead sets: one per kernel item, then `Follow(s, A)` for each
+    /// goto row `(s, A)` of this state, in row order.
+    pub(crate) sets: Vec<TerminalSet>,
+    /// Each item's index into `sets`.
+    pub(crate) la_slot: Vec<u32>,
 }
 
 impl State {
@@ -63,7 +72,7 @@ impl State {
 
     /// LALR(1) lookahead set of the item at `idx` in [`State::items`].
     pub fn lookahead(&self, idx: usize) -> &TerminalSet {
-        &self.lookaheads[idx]
+        &self.sets[self.la_slot[idx] as usize]
     }
 
     /// Outgoing transitions, sorted by symbol.
@@ -95,6 +104,8 @@ impl State {
 pub struct Automaton {
     states: Vec<State>,
     analysis: Analysis,
+    relations: Relations,
+    build_times: (Duration, Duration),
 }
 
 /// LR(0) closure: expands `kernel` (kept first, in the given order) with
@@ -125,34 +136,24 @@ fn closure(g: &Grammar, kernel: &[Item]) -> Vec<Item> {
 impl Automaton {
     /// Builds the automaton (states, transitions, LALR(1) lookaheads).
     pub fn build(g: &Grammar) -> Automaton {
-        let analysis = Analysis::new(g);
-        let nterm = g.terminal_count();
-
-        // --- LR(0) states ----------------------------------------------
-        struct Proto {
-            items: Vec<Item>,
-            kernel_len: usize,
-            transitions: Vec<(SymbolId, StateId)>,
-            accessing_symbol: Option<SymbolId>,
-        }
-
+        let t0 = Instant::now();
         let mut kernels: HashMap<Vec<Item>, StateId> = HashMap::new();
-        let mut protos: Vec<Proto> = Vec::new();
-
         let start_kernel = vec![Item::start(g.accept_prod())];
         kernels.insert(start_kernel.clone(), StateId(0));
-        protos.push(Proto {
+        let mut states = vec![State {
             items: closure(g, &start_kernel),
             kernel_len: 1,
             transitions: Vec::new(),
             accessing_symbol: None,
-        });
+            sets: Vec::new(),
+            la_slot: Vec::new(),
+        }];
 
         let mut work = 0;
-        while work < protos.len() {
+        while work < states.len() {
             // Group items by their next symbol.
             let mut by_symbol: Vec<(SymbolId, Vec<Item>)> = Vec::new();
-            for &it in &protos[work].items {
+            for &it in &states[work].items {
                 if let Some(next) = it.next_symbol(g) {
                     match by_symbol.iter_mut().find(|(s, _)| *s == next) {
                         Some((_, v)) => v.push(it.advance(g)),
@@ -162,18 +163,21 @@ impl Automaton {
             }
             let mut transitions = Vec::with_capacity(by_symbol.len());
             for (sym, mut kernel) in by_symbol {
+                // Kernels stay sorted: the lookahead sweep searches them.
                 kernel.sort_unstable();
                 kernel.dedup();
                 let next_id = match kernels.get(&kernel) {
                     Some(&id) => id,
                     None => {
-                        let id = StateId(protos.len() as u32);
+                        let id = StateId(states.len() as u32);
                         kernels.insert(kernel.clone(), id);
-                        protos.push(Proto {
+                        states.push(State {
                             items: closure(g, &kernel),
                             kernel_len: kernel.len(),
                             transitions: Vec::new(),
                             accessing_symbol: Some(sym),
+                            sets: Vec::new(),
+                            la_slot: Vec::new(),
                         });
                         id
                     }
@@ -181,146 +185,19 @@ impl Automaton {
                 transitions.push((sym, next_id));
             }
             transitions.sort_unstable_by_key(|&(s, _)| s);
-            protos[work].transitions = transitions;
+            states[work].transitions = transitions;
             work += 1;
         }
 
-        // --- LALR(1) kernel lookaheads: spontaneous + propagation -------
-        // `kernel_la[s][i]` is the lookahead of kernel item i of state s.
-        let mut kernel_la: Vec<Vec<TerminalSet>> = protos
-            .iter()
-            .map(|p| vec![TerminalSet::empty(nterm); p.kernel_len])
-            .collect();
-        kernel_la[0][0].insert(g.tindex(SymbolId::EOF));
-
-        // Propagation links: (from_state, from_kernel_idx) -> (to_state,
-        // to_kernel_idx).
-        let mut links: Vec<((usize, usize), (usize, usize))> = Vec::new();
-
-        // Map (state, kernel item) -> kernel index, for targets.
-        let kernel_index = |protos: &[Proto], s: usize, item: Item| -> usize {
-            protos[s].items[..protos[s].kernel_len]
-                .iter()
-                .position(|&i| i == item)
-                .expect("advanced item must be in target kernel")
-        };
-
-        for (s, proto) in protos.iter().enumerate() {
-            for (ki, &kitem) in proto.items[..proto.kernel_len].iter().enumerate() {
-                // LR(1) closure of {(kitem, {#})} where # is a probe.
-                // Represented as (TerminalSet, has_probe).
-                let mut la: HashMap<Item, (TerminalSet, bool)> = HashMap::new();
-                la.insert(kitem, (TerminalSet::empty(nterm), true));
-                let mut queue = vec![kitem];
-                while let Some(it) = queue.pop() {
-                    let Some(next) = it.next_symbol(g) else {
-                        continue;
-                    };
-                    if g.kind(next) != SymbolKind::Nonterminal {
-                        continue;
-                    }
-                    let (cur_set, cur_probe) = la[&it].clone();
-                    let beta = &it.tail(g)[1..];
-                    let mut add = analysis.first_of_seq(g, beta, &TerminalSet::empty(nterm));
-                    let pass_through = analysis.seq_nullable(g, beta);
-                    if pass_through {
-                        add.union_with(&cur_set);
-                    }
-                    let add_probe = pass_through && cur_probe;
-                    for &pid in g.prods_of(next) {
-                        let target = Item::start(pid);
-                        let entry = la
-                            .entry(target)
-                            .or_insert_with(|| (TerminalSet::empty(nterm), false));
-                        let mut changed = entry.0.union_with(&add);
-                        if add_probe && !entry.1 {
-                            entry.1 = true;
-                            changed = true;
-                        }
-                        if changed {
-                            queue.push(target);
-                        }
-                    }
-                }
-                // Distribute to successor kernels.
-                for (it, (set, probe)) in &la {
-                    let Some(next) = it.next_symbol(g) else {
-                        continue;
-                    };
-                    let t = proto
-                        .transitions
-                        .iter()
-                        .find(|&&(sym, _)| sym == next)
-                        .map(|&(_, id)| id.index())
-                        .expect("transition exists for item with next symbol");
-                    let tj = kernel_index(&protos, t, it.advance(g));
-                    kernel_la[t][tj].union_with(set);
-                    if *probe {
-                        links.push(((s, ki), (t, tj)));
-                    }
-                }
-            }
+        let t1 = Instant::now();
+        let analysis = Analysis::new(g);
+        let relations = lookahead::annotate(g, &analysis, &mut states);
+        Automaton {
+            states,
+            analysis,
+            relations,
+            build_times: (t1 - t0, t1.elapsed()),
         }
-
-        // Propagate to fixpoint.
-        loop {
-            let mut changed = false;
-            for &((fs, fi), (ts, ti)) in &links {
-                let snap = kernel_la[fs][fi].clone();
-                changed |= kernel_la[ts][ti].union_with(&snap);
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // --- Extend lookaheads to closure items (per-state fixpoint) ----
-        let mut states: Vec<State> = Vec::with_capacity(protos.len());
-        for (s, proto) in protos.into_iter().enumerate() {
-            let n = proto.items.len();
-            let mut las: Vec<TerminalSet> = vec![TerminalSet::empty(nterm); n];
-            las[..proto.kernel_len].clone_from_slice(&kernel_la[s]);
-            let pos: HashMap<Item, usize> = proto
-                .items
-                .iter()
-                .enumerate()
-                .map(|(i, &it)| (it, i))
-                .collect();
-            loop {
-                let mut changed = false;
-                for i in 0..n {
-                    let it = proto.items[i];
-                    let Some(next) = it.next_symbol(g) else {
-                        continue;
-                    };
-                    if g.kind(next) != SymbolKind::Nonterminal {
-                        continue;
-                    }
-                    let beta = &it.tail(g)[1..];
-                    let mut add = analysis.first_of_seq(g, beta, &TerminalSet::empty(nterm));
-                    if analysis.seq_nullable(g, beta) {
-                        let snap = las[i].clone();
-                        add.union_with(&snap);
-                    }
-                    for &pid in g.prods_of(next) {
-                        let j = pos[&Item::start(pid)];
-                        changed |= las[j].union_with(&add);
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            states.push(State {
-                items: proto.items,
-                lookaheads: las,
-                kernel_len: proto.kernel_len,
-                transitions: proto.transitions,
-                accessing_symbol: proto.accessing_symbol,
-            });
-        }
-
-        Automaton { states, analysis }
     }
 
     /// Number of states.
@@ -341,6 +218,25 @@ impl Automaton {
     /// The grammar analyses computed during construction.
     pub fn analysis(&self) -> &Analysis {
         &self.analysis
+    }
+
+    /// The DeRemer–Pennello relations the lookaheads were computed from.
+    pub fn relations(&self) -> &Relations {
+        &self.relations
+    }
+
+    /// `Follow(p, A)` of a goto row of [`Automaton::relations`]: the
+    /// lookahead of every closure item `A -> · γ` of `p`.
+    pub fn follow(&self, row: usize) -> &TerminalSet {
+        let (p, _) = self.relations.goto(row);
+        let st = &self.states[p.index()];
+        &st.sets[st.kernel_len + row - self.relations.rows_of(p.index()).start]
+    }
+
+    /// Construction time: the LR(0) states, then the grammar analyses,
+    /// relations and per-item lookahead sets.
+    pub fn build_times(&self) -> (Duration, Duration) {
+        self.build_times
     }
 
     /// Builds action/goto tables, resolving conflicts by precedence and

@@ -5,8 +5,8 @@
 //! [`Grammar`](lalrcex_grammar::Grammar):
 //!
 //! * an LR(0) [`Automaton`] whose states carry full item sets,
-//! * LALR(1) per-item lookahead sets (computed by spontaneous-generation /
-//!   propagation, equivalent to the DeRemer–Pennello sets for reduce items),
+//! * LALR(1) per-item lookahead sets, computed once by DeRemer–Pennello's
+//!   relations over the goto graph ([`Relations`], kept for provenance),
 //! * [`Tables`] with yacc-style precedence resolution and a list of the
 //!   remaining [`Conflict`]s — the inputs to the counterexample engine,
 //! * a deterministic table-driven [`parser`], and
@@ -37,10 +37,12 @@ mod automaton;
 mod conflict;
 pub mod glr;
 mod item;
+mod lookahead;
 pub mod parser;
 mod table;
 
 pub use automaton::{Automaton, State, StateId};
 pub use conflict::{Conflict, ConflictKind};
 pub use item::Item;
+pub use lookahead::Relations;
 pub use table::{Action, Resolution, Tables};

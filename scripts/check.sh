@@ -59,6 +59,9 @@ if [[ "$quick" -eq 0 ]]; then
   LALRCEX_BENCH_SMOKE=1 cargo bench -q -p lalrcex-bench --bench conflicts -- search_throughput
 fi
 
+echo "==> benchmark self-tests (generator, ledger, metric names)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> corpus lint snapshot"
 cargo run -q --release -p lalrcex-lint --bin lint-snapshot -- --check
 

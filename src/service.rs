@@ -36,9 +36,11 @@
 //! and resolution (see [`crate::api::explain_document`]); `lint`
 //! responses embed the same diagnostic objects as
 //! `lalrcex lint --format json`. The `stats` response lists per-cache-
-//! entry byte breakdowns (total charge and the provenance-table share),
-//! re-sampled at snapshot time so lazily built tables are visible, plus
-//! the supervision counters; `health` is a cheap inline liveness probe
+//! entry byte breakdowns (total charge and the provenance share),
+//! re-sampled at snapshot time so lazily built data is visible, each
+//! entry's build time per layer (`precompute_ms`: LR(0), lookaheads,
+//! tables, state graph), and the supervision counters; `health` is a
+//! cheap inline liveness probe
 //! reporting `ok`/`shedding`/`draining` and the in-flight count.
 //!
 //! # Execution model
@@ -106,7 +108,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use lalrcex_core::{contain, CancelReason, CancelToken};
+use lalrcex_core::{contain, CancelReason, CancelToken, PrecomputeTimes};
 use lalrcex_lint::{Diagnostic, Severity};
 
 use crate::api::json::{self, obj, Json};
@@ -729,6 +731,7 @@ fn handle_stats<W: Write>(shared: &Shared<W>, id: &str) {
                     .push("text_bytes", Json::num(e.text_bytes as f64))
                     .push("bytes", Json::num(e.bytes as f64))
                     .push("provenance_bytes", Json::num(e.provenance_bytes as f64))
+                    .push("precompute_ms", precompute_json(&e.precompute))
                     .build()
             })
             .collect(),
@@ -779,6 +782,18 @@ fn handle_stats<W: Write>(shared: &Shared<W>, id: &str) {
         .push("inflight", Json::num(shared.inflight_len() as f64))
         .build();
     shared.respond(response, true);
+}
+
+/// An engine's build time per layer, in milliseconds (serve `stats` only;
+/// timings stay out of the schema-v1 report).
+fn precompute_json(t: &PrecomputeTimes) -> Json {
+    let ms = |d: Duration| Json::num(d.as_secs_f64() * 1e3);
+    obj()
+        .push("lr0", ms(t.lr0))
+        .push("lookaheads", ms(t.lookaheads))
+        .push("tables", ms(t.tables))
+        .push("state_graph", ms(t.state_graph))
+        .build()
 }
 
 fn handle_health<W: Write>(shared: &Shared<W>, id: &str) {

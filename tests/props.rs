@@ -6,13 +6,18 @@
 //! The random grammars come from a hand-rolled generator driven by the
 //! in-repo deterministic [`XorShift`] PRNG (no external registry access),
 //! so every failure is reproducible from the printed seed.
+//!
+//! The LALR(1) lookahead sets are checked against an independent oracle:
+//! canonical LR(1), built here from scratch, over the generator grammars,
+//! the whole corpus and the committed yacc twins.
 
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use lalrcex::core::{validate, Analyzer, CexConfig, SearchConfig};
 use lalrcex::earley::{chart, forest};
-use lalrcex::grammar::{Grammar, GrammarBuilder, SymbolId};
-use lalrcex::lr::{glr, Automaton};
+use lalrcex::grammar::{Grammar, GrammarBuilder, SymbolId, TerminalSet};
+use lalrcex::lr::{glr, Automaton, Item, StateId};
 use lalrcex::prng::XorShift;
 
 /// A compact description of a random grammar: for each nonterminal, a few
@@ -216,4 +221,157 @@ fn lr_equals_glr_without_conflicts() {
             assert_eq!(lr, glr_accepts, "seed {seed}: {spec:?}");
         }
     }
+}
+
+/// Canonical LR(1) states a grammar may need before the lookahead oracle
+/// skips it (and names it in the skipped list).
+const LR1_ORACLE_BUDGET: usize = 4_000;
+
+/// A canonical LR(1) kernel or item set: items sorted, one lookahead each.
+type Lr1Items = Vec<(Item, TerminalSet)>;
+
+/// Canonical LR(1) closure of a kernel: every item with its lookahead,
+/// closed by a worklist (`[A -> α · B β, L]` adds `[B -> · γ, FIRST(β L)]`).
+fn lr1_closure(g: &Grammar, auto: &Automaton, kernel: &[(Item, TerminalSet)]) -> Lr1Items {
+    let mut items: Lr1Items = kernel.to_vec();
+    let mut pos: HashMap<Item, usize> = items.iter().enumerate().map(|(i, e)| (e.0, i)).collect();
+    let mut work: Vec<usize> = (0..items.len()).collect();
+    while let Some(i) = work.pop() {
+        let (it, la) = items[i].clone();
+        let Some(next) = it.next_symbol(g).filter(|&s| g.is_nonterminal(s)) else {
+            continue;
+        };
+        let add = auto.analysis().first_of_seq(g, &it.tail(g)[1..], &la);
+        for &pid in g.prods_of(next) {
+            let start = Item::start(pid);
+            match pos.get(&start) {
+                Some(&j) => {
+                    if items[j].1.union_with(&add) {
+                        work.push(j);
+                    }
+                }
+                None => {
+                    pos.insert(start, items.len());
+                    work.push(items.len());
+                    items.push((start, add.clone()));
+                }
+            }
+        }
+    }
+    items
+}
+
+/// For every LALR state (by index), each item's union of canonical LR(1)
+/// lookaheads over the canonical states with the same core; `None` when
+/// the canonical collection exceeds `budget` states.
+fn canonical_unions(
+    g: &Grammar,
+    auto: &Automaton,
+    budget: usize,
+) -> Option<Vec<HashMap<Item, TerminalSet>>> {
+    let nterm = g.terminal_count();
+    let by_core: HashMap<Vec<Item>, StateId> = auto
+        .state_ids()
+        .map(|id| {
+            let st = auto.state(id);
+            let mut core = st.items()[..st.kernel_len()].to_vec();
+            core.sort_unstable();
+            (core, id)
+        })
+        .collect();
+    let mut unions: Vec<HashMap<Item, TerminalSet>> = vec![HashMap::new(); auto.state_count()];
+    let start: Lr1Items = vec![(
+        Item::start(g.accept_prod()),
+        TerminalSet::singleton(nterm, g.tindex(SymbolId::EOF)),
+    )];
+    let mut seen: HashSet<Lr1Items> = HashSet::from([start.clone()]);
+    let mut queue = vec![start];
+    while let Some(kernel) = queue.pop() {
+        if seen.len() > budget {
+            return None;
+        }
+        let core: Vec<Item> = kernel.iter().map(|e| e.0).collect();
+        let lalr = by_core[&core].index();
+        let mut succ: Vec<(SymbolId, Lr1Items)> = Vec::new();
+        for (it, la) in lr1_closure(g, auto, &kernel) {
+            if let Some(next) = it.next_symbol(g) {
+                let adv = (it.advance(g), la.clone());
+                match succ.iter_mut().find(|(s, _)| *s == next) {
+                    Some((_, v)) => v.push(adv),
+                    None => succ.push((next, vec![adv])),
+                }
+            }
+            unions[lalr]
+                .entry(it)
+                .or_insert_with(|| TerminalSet::empty(nterm))
+                .union_with(&la);
+        }
+        for (_, mut k) in succ {
+            k.sort_by_key(|e| e.0);
+            k.dedup_by(|later, kept| kept.0 == later.0 && (kept.1.union_with(&later.1), true).1);
+            if seen.insert(k.clone()) {
+                queue.push(k);
+            }
+        }
+    }
+    Some(unions)
+}
+
+/// Every item of every LALR(1) state, kernel and closure alike, carries
+/// exactly the union of its canonical LR(1) lookaheads over the canonical
+/// states with the same core — the definition of LALR(1). Checked over
+/// the generator grammars, all corpus grammars and the yacc twins; a
+/// grammar whose canonical collection exceeds [`LR1_ORACLE_BUDGET`] is
+/// skipped and listed.
+#[test]
+fn lalr_lookaheads_equal_canonical_lr1_unions() {
+    let mut grammars: Vec<(String, Grammar)> = (0..CASES)
+        .map(|seed| {
+            let mut rng = XorShift::new(0x1A1A + seed);
+            (format!("seed {seed}"), build(&gen_spec(&mut rng)))
+        })
+        .collect();
+    for entry in lalrcex::corpus::all() {
+        let g = entry.load().expect("corpus grammars parse");
+        grammars.push((entry.name.to_owned(), g));
+    }
+    let twins = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/yacc_twins"));
+    let mut files: Vec<_> = std::fs::read_dir(twins)
+        .expect("yacc twins directory")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    files.sort();
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable twin");
+        let g = lalrcex::yacc::parse(&text).expect("twins parse");
+        grammars.push((format!("yacc twin {}", path.display()), g));
+    }
+
+    let mut skipped = Vec::new();
+    for (name, g) in &grammars {
+        let auto = Automaton::build(g);
+        let Some(unions) = canonical_unions(g, &auto, LR1_ORACLE_BUDGET) else {
+            skipped.push(name.as_str());
+            continue;
+        };
+        for id in auto.state_ids() {
+            let st = auto.state(id);
+            for (i, &it) in st.items().iter().enumerate() {
+                assert_eq!(
+                    Some(st.lookahead(i)),
+                    unions[id.index()].get(&it),
+                    "{name}: {id:?} item {}",
+                    it.display(g)
+                );
+            }
+        }
+    }
+    eprintln!(
+        "lookahead oracle: {} of {} grammars checked; over the {LR1_ORACLE_BUDGET}-state budget: {}",
+        grammars.len() - skipped.len(),
+        grammars.len(),
+        skipped.join(", ")
+    );
+    // Pinned, so that coverage cannot shrink unnoticed.
+    assert_eq!(skipped, ["java-ext1", "java-ext2"]);
 }
