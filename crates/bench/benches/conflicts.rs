@@ -162,10 +162,11 @@ fn cancel_stride(cfg: MicroConfig, filter: Option<String>) {
 }
 
 /// The lint engine, cold vs shared-facts: `cold` builds the `Engine`
-/// (automaton, tables, state-item graph) inside the timed region — the
-/// cost a standalone linter would pay; `shared` reuses an engine built
-/// once outside it — the cost when lint rides on a conflict analysis
-/// that already precomputed everything. The gap is the fact-sharing win.
+/// (automaton and tables; the state-item graph only when a resolution is
+/// probed) inside the timed region — the cost a standalone linter would
+/// pay; `shared` reuses an engine built once outside it — the cost when
+/// lint rides on a conflict analysis that already precomputed everything.
+/// The gap is the fact-sharing win.
 fn lint_passes(cfg: MicroConfig, filter: Option<String>) {
     use lalrcex_core::Engine;
     use lalrcex_lint::Linter;

@@ -1,13 +1,13 @@
 //! The grammar-keyed engine cache.
 //!
-//! The engine's precomputation — LALR automaton, resolved tables,
-//! state-item graph, spine memo — is pure in the grammar text, so a
-//! long-lived process (the `lalrcex serve` service, the `batch` driver, or
-//! any embedder using [`crate::Engine`] repeatedly) can key built engines
-//! by a content hash of the text and skip construction entirely when the
-//! same grammar comes back: the interactive edit / re-run / read loop the
-//! paper frames (§1), where a reverted edit or a repeated query would
-//! otherwise pay the full automaton build again.
+//! The engine's precomputation — LALR automaton, resolved tables, the
+//! lazily built state-item graph, spine memo — is pure in the grammar
+//! text, so a long-lived process (the `lalrcex serve` service, the `batch`
+//! driver, or any embedder using [`crate::Engine`] repeatedly) can key
+//! built engines by a content hash of the text and skip construction
+//! entirely when the same grammar comes back: the interactive edit /
+//! re-run / read loop the paper frames (§1), where a reverted edit or a
+//! repeated query would otherwise pay the full automaton build again.
 //!
 //! [`EngineCache`] is an LRU keyed by a 64-bit FNV-1a hash of the grammar
 //! text (entries also keep the text itself, so a hash collision is
@@ -15,7 +15,8 @@
 //! *byte-budget-aware*, riding the same estimated-live-bytes style of
 //! accounting as the search memory governor: every entry is charged
 //! [`Engine::estimated_bytes`] — re-sampled on each hit, because the spine
-//! memo grows as conflicts are analyzed — and the least-recently-used
+//! memo grows as conflicts are analyzed and the state-item graph is built
+//! on first use — and the least-recently-used
 //! entries are dropped until the total fits the budget. The most recently
 //! touched entry is never evicted, so one grammar larger than the whole
 //! budget still caches (and simply pins the cache to itself).

@@ -1,8 +1,9 @@
 //! The parallel shared-precomputation conflict engine.
 //!
-//! Everything conflict-*independent* is built exactly once per grammar —
-//! the LALR automaton, the resolved parse tables, the state-item graph
-//! with its reverse edges (§6 "Data structures") — and shared read-only
+//! Everything conflict-*independent* is built at most once per grammar —
+//! the LALR automaton and the resolved parse tables eagerly, the
+//! state-item graph with its reverse edges (§6 "Data structures") on first
+//! use, since only conflict explanations need it — and shared read-only
 //! across all conflicts. On top of that sits a memo of §4 shortest
 //! lookahead-sensitive spines keyed by `(reduce state-item, conflict
 //! terminal)`: conflicts that share a reduce item under the same lookahead
@@ -22,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use lalrcex_grammar::{Analysis, Grammar};
@@ -58,7 +59,9 @@ pub struct Engine<'g> {
     g: &'g Grammar,
     auto: Automaton,
     tables: Tables,
-    graph: StateGraph,
+    /// The state-item graph and its build time, built on first use.
+    graph: OnceLock<(StateGraph, Duration)>,
+    /// Build times of the eager layers (`state_graph` stays zero here).
     precompute: PrecomputeTimes,
     memo: Mutex<HashMap<(StateItemId, usize), Arc<Spine>>>,
     prov: Mutex<Option<Arc<GrammarProvenance>>>,
@@ -68,6 +71,8 @@ pub struct Engine<'g> {
 /// a grammar — the *fact-sharing seam* between the conflict search and
 /// other workloads (the `lalrcex-lint` static-analysis passes consume this
 /// so nullable/FIRST/reachability/automaton are computed exactly once).
+/// The state-item graph is not part of it: it is built lazily, and only
+/// for conflict explanations ([`Engine::graph`]).
 #[derive(Clone, Copy)]
 pub struct Facts<'e> {
     /// The grammar the facts describe.
@@ -78,8 +83,6 @@ pub struct Facts<'e> {
     pub automaton: &'e Automaton,
     /// Resolved parse tables, surviving conflicts, precedence resolutions.
     pub tables: &'e Tables,
-    /// The state-item graph with reverse edges.
-    pub graph: &'e StateGraph,
 }
 
 /// The outcome of replaying a precedence-resolved conflict through the
@@ -121,26 +124,25 @@ pub fn resolve_workers(configured: usize, conflicts: usize) -> usize {
 }
 
 impl<'g> Engine<'g> {
-    /// Builds all conflict-independent state for `g`: automaton, tables,
-    /// state-item graph (with reverse edges), and an empty spine memo.
+    /// Builds the eager conflict-independent state for `g` — automaton and
+    /// tables — with an empty spine memo. The state-item graph waits for
+    /// its first use ([`Engine::graph`]).
     pub fn new(g: &'g Grammar) -> Engine<'g> {
         let auto = Automaton::build(g);
         let t0 = Instant::now();
         let tables = auto.tables(g);
-        let t1 = Instant::now();
-        let graph = StateGraph::build(g, &auto);
         let (lr0, lookaheads) = auto.build_times();
         let precompute = PrecomputeTimes {
             lr0,
             lookaheads,
-            tables: t1 - t0,
-            state_graph: t1.elapsed(),
+            tables: t0.elapsed(),
+            state_graph: Duration::ZERO,
         };
         Engine {
             g,
             auto,
             tables,
-            graph,
+            graph: OnceLock::new(),
             precompute,
             memo: Mutex::new(HashMap::new()),
             prov: Mutex::new(None),
@@ -148,7 +150,7 @@ impl<'g> Engine<'g> {
     }
 
     /// [`Engine::new`] with the precomputation contained: a panic while
-    /// building the automaton, tables, or state-item graph is caught at
+    /// building the automaton or tables is caught at
     /// this boundary and reported as a structured [`EngineError`] (phase
     /// `"precompute"`) instead of unwinding into the caller.
     pub fn try_new(g: &'g Grammar) -> Result<Engine<'g>, EngineError> {
@@ -170,9 +172,22 @@ impl<'g> Engine<'g> {
         &self.tables
     }
 
-    /// The state-item graph.
+    /// The state-item graph, built on the first call and shared after.
+    ///
+    /// Concurrent first callers wait for one build. A panic during the
+    /// build propagates to the caller (the conflict phases and lint probes
+    /// contain it at their boundary) and leaves the graph unbuilt, so the
+    /// next call builds it afresh.
     pub fn graph(&self) -> &StateGraph {
-        &self.graph
+        &self
+            .graph
+            .get_or_init(|| {
+                crate::fail_point!("state_graph.build");
+                let t = Instant::now();
+                let graph = StateGraph::build(self.g, &self.auto);
+                (graph, t.elapsed())
+            })
+            .0
     }
 
     /// The grammar analyses (nullable / FIRST / FOLLOW / reachability /
@@ -190,29 +205,38 @@ impl<'g> Engine<'g> {
             analysis: self.auto.analysis(),
             automaton: &self.auto,
             tables: &self.tables,
-            graph: &self.graph,
         }
     }
 
-    /// Time spent building the conflict-independent state, per layer.
+    /// Time spent building the conflict-independent state, per layer;
+    /// `state_graph` is zero while the graph has not been built.
     pub fn precompute_times(&self) -> PrecomputeTimes {
-        self.precompute
+        PrecomputeTimes {
+            state_graph: self.graph.get().map_or(Duration::ZERO, |&(_, t)| t),
+            ..self.precompute
+        }
     }
 
-    /// A rough estimate of this engine's resident bytes — automaton items,
-    /// lookahead sets (one per kernel item and one `Follow` row per goto,
-    /// which closure items share), state transitions, the relation edges,
-    /// state-item graph nodes, and the current spine memo. Not an
-    /// allocator truth: it feeds the [`crate::cache::EngineCache`]
-    /// byte-budget eviction, the same style of estimated live-byte
-    /// accounting the search memory governor uses.
+    /// A rough estimate of the resident bytes this engine accounts for —
+    /// the grammar and its analyses, automaton items, lookahead sets (one
+    /// per kernel item and one `Follow` row per goto, which closure items
+    /// share), state transitions, the relation edges, the dense parse
+    /// tables, the state-item graph once built, and the current spine memo
+    /// and provenance. Not an allocator truth: it feeds the
+    /// [`crate::cache::EngineCache`] byte-budget eviction, the same style
+    /// of estimated live-byte accounting the search memory governor uses.
     pub fn estimated_bytes(&self) -> usize {
         let tset_bytes = self.g.terminal_count().div_ceil(8) + 24;
         let rel = self.auto.relations();
         let mut bytes = 256
+            + self.g.estimated_bytes()
+            + self.auto.analysis().estimated_bytes()
+            + self.tables.estimated_bytes()
             + rel.estimated_bytes()
-            + rel.goto_count() * tset_bytes
-            + self.graph.node_count() * 96;
+            + rel.goto_count() * tset_bytes;
+        if let Some((graph, _)) = self.graph.get() {
+            bytes += graph.node_count() * 96;
+        }
         for id in self.auto.state_ids() {
             let st = self.auto.state(id);
             bytes +=
@@ -343,7 +367,7 @@ impl<'g> Engine<'g> {
             match unifying_search_session(
                 self.g,
                 &self.auto,
-                &self.graph,
+                self.graph(),
                 &conflict,
                 &spine.states,
                 &cfg,
@@ -362,9 +386,9 @@ impl<'g> Engine<'g> {
     /// previous conflict shared the same `(reduce state-item, terminal)`
     /// key. Returns the spine and whether it was a memo hit.
     pub fn spine(&self, conflict: &Conflict) -> (Arc<Spine>, bool) {
+        let graph = self.graph();
         let key = (
-            self.graph
-                .node(conflict.state, conflict.reduce_item(self.g)),
+            graph.node(conflict.state, conflict.reduce_item(self.g)),
             self.g.tindex(conflict.terminal),
         );
         // Poison recovery: a panic contained elsewhere may have poisoned
@@ -382,10 +406,10 @@ impl<'g> Engine<'g> {
         // but the search is deterministic, so whichever insert wins the
         // entry is identical and nothing blocks behind a long search.
         let (path, nodes_expanded) =
-            lssi::shortest_path_metered(self.g, &self.auto, &self.graph, key.0, key.1);
+            lssi::shortest_path_metered(self.g, &self.auto, graph, key.0, key.1);
         let states = path
             .as_deref()
-            .map(|p| lssi::states_of_path(&self.graph, p))
+            .map(|p| lssi::states_of_path(graph, p))
             .unwrap_or_default();
         let spine = Arc::new(Spine {
             path,
@@ -492,7 +516,7 @@ impl<'g> Engine<'g> {
                 unifying_search_session(
                     self.g,
                     &self.auto,
-                    &self.graph,
+                    self.graph(),
                     conflict,
                     &spine.states,
                     &effective,
@@ -519,10 +543,9 @@ impl<'g> Engine<'g> {
             None
         } else {
             match contain("nonunifying", || {
-                spine
-                    .path
-                    .as_deref()
-                    .and_then(|p| nonunifying_example(self.g, &self.auto, &self.graph, conflict, p))
+                spine.path.as_deref().and_then(|p| {
+                    nonunifying_example(self.g, &self.auto, self.graph(), conflict, p)
+                })
             }) {
                 Ok(n) => n,
                 Err(e) => {
@@ -663,8 +686,10 @@ impl<'g> Engine<'g> {
             .map(|(i, r)| r.unwrap_or_else(|| Self::cancelled_stub(&conflicts[i])))
             .collect();
 
+        // Sampled after the fan-out, so a graph built by the first
+        // conflict's spine is counted.
         let mut stats = GrammarStats {
-            precompute: self.precompute,
+            precompute: self.precompute_times(),
             workers,
             ..GrammarStats::default()
         };
@@ -810,6 +835,57 @@ mod tests {
         assert!(std::ptr::eq(facts.automaton, engine.automaton()));
         let s = g.symbol_named("stmt").unwrap();
         assert!(facts.analysis.reachable(s));
+    }
+
+    #[test]
+    fn clean_grammar_never_builds_the_graph() {
+        let g = Grammar::parse("%% s : s 'a' | 'a' ;").unwrap();
+        let engine = Engine::new(&g);
+        assert!(engine.tables().conflicts().is_empty());
+        assert!(engine.tables().resolutions().is_empty());
+        let report = engine.analyze_all(&CexConfig::default());
+        assert_eq!(report.stats.precompute.state_graph, Duration::ZERO);
+        assert_eq!(engine.precompute_times().state_graph, Duration::ZERO);
+        let bytes = engine.estimated_bytes();
+        let graph = engine.graph();
+        assert!(graph.node_count() > 0);
+        assert!(engine.precompute_times().state_graph > Duration::ZERO);
+        assert!(engine.estimated_bytes() > bytes, "a built graph is charged");
+    }
+
+    #[test]
+    fn conflicts_build_the_graph_and_time_it() {
+        let g = figure1();
+        let engine = Engine::new(&g);
+        assert_eq!(engine.precompute_times().state_graph, Duration::ZERO);
+        let report = engine.analyze_all(&CexConfig::default());
+        assert!(report.stats.precompute.state_graph > Duration::ZERO);
+        assert_eq!(
+            report.stats.precompute,
+            engine.precompute_times(),
+            "stats sample the times after the graph was built"
+        );
+    }
+
+    #[test]
+    fn estimated_bytes_cover_the_dense_tables() {
+        // A chain of 100 nonterminals, each with its own terminal: about
+        // 300 states × 100 terminals, so the dense action table dominates.
+        let mut text = String::from("%%\ns : p0 ;\n");
+        for i in 0..100 {
+            text.push_str(&format!("p{i} : 't{i}' | 'a' p{} ;\n", i + 1));
+        }
+        text.push_str("p100 : 'z' ;\n");
+        let g = Grammar::parse(&text).unwrap();
+        let engine = Engine::new(&g);
+        let dense = engine.automaton().state_count()
+            * (g.terminal_count() * std::mem::size_of::<lalrcex_lr::Action>()
+                + g.nonterminal_count() * std::mem::size_of::<Option<StateId>>());
+        assert!(
+            engine.estimated_bytes() >= dense,
+            "{} < {dense}",
+            engine.estimated_bytes()
+        );
     }
 
     #[test]

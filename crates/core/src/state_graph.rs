@@ -129,12 +129,16 @@ impl Csr {
 impl StateGraph {
     /// Builds the graph and its reverse-edge tables.
     pub fn build(g: &Grammar, auto: &Automaton) -> StateGraph {
+        // Nodes run state by state in item order, so a node's item slot is
+        // its position in its state's item list.
         let mut nodes = Vec::new();
+        let mut item_slot = Vec::new();
         let mut index = HashMap::new();
         for sid in auto.state_ids() {
-            for &it in auto.state(sid).items() {
+            for (slot, &it) in auto.state(sid).items().iter().enumerate() {
                 let id = StateItemId(nodes.len() as u32);
                 nodes.push((sid, it));
+                item_slot.push(slot as u32);
                 index.insert((sid, it), id);
             }
         }
@@ -144,10 +148,8 @@ impl StateGraph {
         let mut rev_trans = vec![Vec::new(); n];
         let mut rev_prods = vec![Vec::new(); n];
 
-        let mut item_slot = vec![0u32; n];
         for (i, &(sid, it)) in nodes.iter().enumerate() {
             let st = auto.state(sid);
-            item_slot[i] = st.item_index(it).expect("node items exist in their state") as u32;
             if let Some(next) = it.next_symbol(g) {
                 // Transition edge.
                 let target_state = st

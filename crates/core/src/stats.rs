@@ -105,7 +105,9 @@ pub struct PrecomputeTimes {
     pub lookaheads: Duration,
     /// Parse tables with precedence resolution.
     pub tables: Duration,
-    /// The state-item graph with its reverse edges.
+    /// The state-item graph with its reverse edges; zero while the graph
+    /// is unbuilt (a grammar without conflicts or probed resolutions never
+    /// builds it).
     pub state_graph: Duration,
 }
 

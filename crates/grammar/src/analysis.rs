@@ -46,6 +46,23 @@ pub struct Analysis {
 }
 
 impl Analysis {
+    /// Estimated resident bytes: the FIRST and FOLLOW sets and the
+    /// per-symbol flag and cost tables.
+    pub fn estimated_bytes(&self) -> usize {
+        let sets: usize = self
+            .first
+            .iter()
+            .chain(&self.follow)
+            .map(TerminalSet::bytes)
+            .sum();
+        sets + self.nullable.len()
+            + self.reachable.len()
+            + self.productive.len()
+            + std::mem::size_of_val(self.min_len.as_slice())
+            + std::mem::size_of_val(self.eps_cost.as_slice())
+            + std::mem::size_of_val(self.eps_prod.as_slice())
+    }
+
     /// Computes every analysis for `g`.
     pub fn new(g: &Grammar) -> Analysis {
         let nterm = g.terminal_count();

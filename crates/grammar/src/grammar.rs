@@ -283,6 +283,24 @@ impl Grammar {
         &self.productions
     }
 
+    /// Estimated resident bytes: the symbol table with its name index,
+    /// the productions with their right-hand sides, and the per-nonterminal
+    /// production lists.
+    pub fn estimated_bytes(&self) -> usize {
+        let names: usize = self.symbols.iter().map(|s| s.name.len()).sum();
+        let rhs: usize = self.productions.iter().map(|p| p.rhs.len()).sum();
+        // Each name is stored twice (symbol table and `by_name` key); a
+        // hash-map slot costs its key, value and control byte.
+        self.symbols.len()
+            * (std::mem::size_of::<SymbolInfo>() + std::mem::size_of::<(String, SymbolId)>() + 1)
+            + 2 * names
+            + self.productions.len() * std::mem::size_of::<Production>()
+            + rhs * std::mem::size_of::<SymbolId>()
+            + self.productions.len() * std::mem::size_of::<ProdId>()
+            + self.prods_of.len() * std::mem::size_of::<Vec<ProdId>>()
+            + (self.terminals.len() + self.nonterminals.len()) * std::mem::size_of::<SymbolId>()
+    }
+
     /// Number of productions, including the augmented start production.
     pub fn prod_count(&self) -> usize {
         self.productions.len()

@@ -123,6 +123,11 @@ impl TerminalSet {
         self.words.iter().all(|w| *w == 0)
     }
 
+    /// Bytes of the set, inline and on the heap.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<TerminalSet>() + std::mem::size_of_val(&*self.words)
+    }
+
     /// Number of terminals in the set.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

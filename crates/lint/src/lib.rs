@@ -12,8 +12,8 @@
 //! Every pass runs over [`lalrcex_core::Facts`], the read-only bundle of
 //! conflict-independent state the [`Engine`] builds exactly once per
 //! grammar (nullable/FIRST/reachability, the LALR automaton, resolved
-//! tables, the state-item graph). Linting a grammar whose conflicts were
-//! already analyzed therefore costs no extra precomputation, and the
+//! tables). Linting a grammar whose conflicts were already analyzed
+//! therefore costs no extra precomputation, and the
 //! *conflict-masking* pass reuses the engine's memoized §4 spines when it
 //! replays precedence-resolved conflicts through the §5 unifying search.
 //!
@@ -143,7 +143,7 @@ impl Default for LintConfig {
 /// lint configuration.
 pub struct LintContext<'e> {
     /// The conflict-independent facts (grammar, analysis, automaton,
-    /// tables, state-item graph), built once by the engine.
+    /// tables), built once by the engine.
     pub facts: lalrcex_core::Facts<'e>,
     /// The engine, for passes that replay searches.
     pub engine: &'e Engine<'e>,
@@ -263,6 +263,17 @@ mod tests {
     fn clean_grammar_is_clean() {
         let g = Grammar::parse("%% s : s 'a' | 'a' ;").unwrap();
         assert!(lint(&g).is_empty());
+    }
+
+    #[test]
+    fn linting_a_clean_grammar_leaves_the_graph_unbuilt() {
+        let g = Grammar::parse("%% s : s 'a' | 'a' ;").unwrap();
+        let engine = Engine::new(&g);
+        assert!(Linter::new().run(&engine).is_empty());
+        assert_eq!(
+            engine.precompute_times().state_graph,
+            std::time::Duration::ZERO
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! computation rather than cross-checking two.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 use lalrcex_grammar::{Analysis, Grammar, SymbolId, SymbolKind, TerminalSet};
@@ -110,20 +111,32 @@ pub struct Automaton {
 
 /// LR(0) closure: expands `kernel` (kept first, in the given order) with
 /// the start items of every nonterminal that appears after a dot.
-fn closure(g: &Grammar, kernel: &[Item]) -> Vec<Item> {
+///
+/// `expanded[A] == epoch` marks nonterminal `A` as already expanded in this
+/// closure; the caller bumps `epoch` per state, so the marks never need
+/// clearing. Marking nonterminals instead of items is exact because the
+/// start items added for `A` are exactly `A`'s productions, which no other
+/// nonterminal shares. Only the start state's kernel holds a dot-0 item
+/// (`$accept -> · start $end`); start items already in the kernel are
+/// skipped.
+fn closure(g: &Grammar, kernel: &[Item], expanded: &mut [u32], epoch: u32) -> Vec<Item> {
     let mut items: Vec<Item> = kernel.to_vec();
-    let mut seen: HashMap<Item, ()> = items.iter().map(|&i| (i, ())).collect();
+    let kernel_starts: Vec<Item> = kernel.iter().copied().filter(|it| it.dot() == 0).collect();
     let mut idx = 0;
     while idx < items.len() {
         let it = items[idx];
         idx += 1;
         if let Some(next) = it.next_symbol(g) {
             if g.kind(next) == SymbolKind::Nonterminal {
-                for &pid in g.prods_of(next) {
-                    let start = Item::start(pid);
-                    if seen.insert(start, ()).is_none() {
-                        items.push(start);
-                    }
+                let mark = &mut expanded[g.ntindex(next)];
+                if *mark != epoch {
+                    *mark = epoch;
+                    items.extend(
+                        g.prods_of(next)
+                            .iter()
+                            .map(|&pid| Item::start(pid))
+                            .filter(|it| !kernel_starts.contains(it)),
+                    );
                 }
             }
         }
@@ -133,15 +146,68 @@ fn closure(g: &Grammar, kernel: &[Item]) -> Vec<Item> {
     items
 }
 
+/// The multiply-rotate hash of rustc's `FxHasher`, for interning kernels:
+/// much cheaper than the default SipHash on short runs of small integers.
+/// Kernels are derived from the grammar, and a skewed grammar can only
+/// slow its own construction, so flooding resistance buys nothing here.
+#[derive(Default)]
+struct KernelHasher(u64);
+
+impl KernelHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KernelHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+/// Marks a symbol with no group in the state being expanded.
+const NO_GROUP: u32 = u32::MAX;
+
 impl Automaton {
     /// Builds the automaton (states, transitions, LALR(1) lookaheads).
+    ///
+    /// States are numbered in order of first appearance: the worklist
+    /// expands states in id order, and each state's successors are created
+    /// in the order their symbols first occur after a dot in its item list.
     pub fn build(g: &Grammar) -> Automaton {
         let t0 = Instant::now();
-        let mut kernels: HashMap<Vec<Item>, StateId> = HashMap::new();
-        let start_kernel = vec![Item::start(g.accept_prod())];
-        kernels.insert(start_kernel.clone(), StateId(0));
+        let mut kernels: HashMap<Box<[Item]>, StateId, BuildHasherDefault<KernelHasher>> =
+            HashMap::default();
+        let mut expanded = vec![0u32; g.nonterminal_count()];
+        let mut epoch = 1;
+        let start_kernel = [Item::start(g.accept_prod())];
+        kernels.insert(Box::new(start_kernel), StateId(0));
         let mut states = vec![State {
-            items: closure(g, &start_kernel),
+            items: closure(g, &start_kernel, &mut expanded, epoch),
             kernel_len: 1,
             transitions: Vec::new(),
             accessing_symbol: None,
@@ -149,30 +215,62 @@ impl Automaton {
             la_slot: Vec::new(),
         }];
 
+        // Per symbol: its group's index in `group_syms` while one state is
+        // expanded (reset to `NO_GROUP` afterwards).
+        let mut group_of = vec![NO_GROUP; g.symbol_count()];
+        let mut group_syms: Vec<SymbolId> = Vec::new();
+        // Group `k` of the advanced items is `advanced[group_end[k - 1]..group_end[k]]`.
+        let mut group_end: Vec<usize> = Vec::new();
+        let mut advanced: Vec<Item> = Vec::new();
         let mut work = 0;
         while work < states.len() {
-            // Group items by their next symbol.
-            let mut by_symbol: Vec<(SymbolId, Vec<Item>)> = Vec::new();
+            // Group the advanced items by next symbol: count, then scatter.
+            group_syms.clear();
+            group_end.clear();
             for &it in &states[work].items {
                 if let Some(next) = it.next_symbol(g) {
-                    match by_symbol.iter_mut().find(|(s, _)| *s == next) {
-                        Some((_, v)) => v.push(it.advance(g)),
-                        None => by_symbol.push((next, vec![it.advance(g)])),
+                    let k = &mut group_of[next.index()];
+                    if *k == NO_GROUP {
+                        *k = group_syms.len() as u32;
+                        group_syms.push(next);
+                        group_end.push(0);
                     }
+                    group_end[*k as usize] += 1;
                 }
             }
-            let mut transitions = Vec::with_capacity(by_symbol.len());
-            for (sym, mut kernel) in by_symbol {
+            let mut total = 0;
+            for end in &mut group_end {
+                total += std::mem::replace(end, total);
+            }
+            advanced.clear();
+            advanced.resize(total, start_kernel[0]);
+            for &it in &states[work].items {
+                if let Some(next) = it.next_symbol(g) {
+                    let cursor = &mut group_end[group_of[next.index()] as usize];
+                    advanced[*cursor] = it.advance(g);
+                    *cursor += 1;
+                }
+            }
+
+            let mut transitions = Vec::with_capacity(group_syms.len());
+            let mut lo = 0;
+            for (&sym, &hi) in group_syms.iter().zip(&group_end) {
+                group_of[sym.index()] = NO_GROUP;
                 // Kernels stay sorted: the lookahead sweep searches them.
+                // A state's items are distinct and advancing is injective,
+                // so a kernel has no duplicates.
+                let kernel = &mut advanced[lo..hi];
+                lo = hi;
                 kernel.sort_unstable();
-                kernel.dedup();
-                let next_id = match kernels.get(&kernel) {
+                debug_assert!(kernel.windows(2).all(|w| w[0] != w[1]));
+                let next_id = match kernels.get(&*kernel) {
                     Some(&id) => id,
                     None => {
                         let id = StateId(states.len() as u32);
-                        kernels.insert(kernel.clone(), id);
+                        kernels.insert(kernel.into(), id);
+                        epoch += 1;
                         states.push(State {
-                            items: closure(g, &kernel),
+                            items: closure(g, kernel, &mut expanded, epoch),
                             kernel_len: kernel.len(),
                             transitions: Vec::new(),
                             accessing_symbol: Some(sym),
@@ -372,6 +470,25 @@ mod tests {
         assert!(la.contains(then_t));
         assert!(la.contains(plus_t));
         assert_eq!(la.len(), 2, "{}", auto.dump_state(&g, s6));
+    }
+
+    #[test]
+    fn closure_never_repeats_a_kernel_item() {
+        // A builder grammar may name the augmented start symbol on a
+        // right-hand side, which puts `$accept -> · s $end` both in the
+        // start state's kernel and in its closure.
+        let mut b = lalrcex_grammar::GrammarBuilder::new();
+        b.start("s");
+        b.rule("s", &["$accept", "x"]);
+        b.rule("s", &["y"]);
+        let g = b.build().unwrap();
+        let auto = Automaton::build(&g);
+        for id in auto.state_ids() {
+            let items = auto.state(id).items();
+            for (i, it) in items.iter().enumerate() {
+                assert!(!items[i + 1..].contains(it), "{}", auto.dump_state(&g, id));
+            }
+        }
     }
 
     #[test]

@@ -223,6 +223,16 @@ impl Tables {
     pub fn resolutions(&self) -> &[Resolution] {
         &self.resolutions
     }
+
+    /// Resident bytes: the dense action (states × terminals) and goto
+    /// (states × nonterminals) arrays plus the conflict and resolution
+    /// lists.
+    pub fn estimated_bytes(&self) -> usize {
+        std::mem::size_of_val(self.action.as_slice())
+            + std::mem::size_of_val(self.goto_.as_slice())
+            + std::mem::size_of_val(self.conflicts.as_slice())
+            + std::mem::size_of_val(self.resolutions.as_slice())
+    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,9 @@ timeout 600 cargo test -q -p lalrcex-cli --features failpoints --test soak
 if [[ "$quick" -eq 0 ]]; then
   echo "==> search-throughput bench (smoke: tiny budget, 1 sample)"
   LALRCEX_BENCH_SMOKE=1 cargo bench -q -p lalrcex-bench --bench conflicts -- search_throughput
+
+  echo "==> automaton bench (smoke: LALR construction on five corpus grammars)"
+  LALRCEX_BENCH_SMOKE=1 cargo bench -q -p lalrcex-bench --bench conflicts -- automaton
 fi
 
 echo "==> benchmark self-tests (generator, ledger, metric names)"

@@ -357,7 +357,8 @@ impl AnalysisReply {
         self.cached.grammar()
     }
 
-    /// The engine (automaton, tables, state-item graph, spine memo).
+    /// The engine (automaton, tables, spine memo, and the state-item graph
+    /// once a conflict needed it).
     pub fn engine(&self) -> &lalrcex_core::Engine<'_> {
         self.cached.engine()
     }
@@ -409,7 +410,8 @@ impl ExplainReply {
         self.cached.grammar()
     }
 
-    /// The engine (automaton, tables, state-item graph, spine memo).
+    /// The engine (automaton, tables, spine memo, and the state-item graph
+    /// once a conflict needed it).
     pub fn engine(&self) -> &lalrcex_core::Engine<'_> {
         self.cached.engine()
     }

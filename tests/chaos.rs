@@ -313,6 +313,53 @@ fn governor_shed_point_is_deterministic_across_shard_widths() {
 /// The lint masking probe contains its own faults: a panic inside
 /// `probe_resolution` yields `ResolutionProbe::Internal`, and the next
 /// probe on the same engine runs clean.
+/// A panic while building the lazy state-item graph faults only the slot
+/// whose spine started the build (phase `spine`). The graph stays unbuilt,
+/// so the next conflict builds it afresh and matches the clean run; a lint
+/// probe that faults the same way recovers on its next call. One worker:
+/// with more, which slot starts the build depends on scheduling.
+#[test]
+fn panic_in_lazy_graph_build_is_contained_and_retried() {
+    use lalrcex::core::engine::ResolutionProbe;
+
+    let g = load("figure1");
+    let clean = clean_run(&g, 1);
+    {
+        let _guard =
+            install(FaultPlan::new().trigger(0, "state_graph.build", 1, FaultAction::Panic));
+        let engine = Engine::new(&g);
+        let faulted = engine.analyze_all(&deterministic(1));
+        assert_eq!(faulted.reports.len(), clean.reports.len());
+        let ConflictOutcome::Internal(e) = &faulted.reports[0].outcome else {
+            panic!("slot 0 must fault, got {:?}", faulted.reports[0].outcome);
+        };
+        assert_eq!(e.phase, "spine");
+        assert!(e.message.contains("state_graph.build"), "stable diagnostic");
+        for i in 1..clean.reports.len() {
+            assert_eq!(
+                format_report(&g, &faulted.reports[i]),
+                format_report(&g, &clean.reports[i]),
+            );
+        }
+        assert!(!engine.precompute_times().state_graph.is_zero());
+    }
+
+    let g = Grammar::parse("%left '+' %% e : e '+' e | NUM ;").unwrap();
+    let engine = Engine::new(&g);
+    let res = engine.tables().resolutions()[0];
+    let _guard =
+        install(FaultPlan::new().trigger(NO_SCOPE, "state_graph.build", 1, FaultAction::Panic));
+    match engine.probe_resolution(&res, 1 << 16) {
+        ResolutionProbe::Internal(e) => assert_eq!(e.phase, "lint.probe"),
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    assert!(engine.precompute_times().state_graph.is_zero());
+    match engine.probe_resolution(&res, 1 << 16) {
+        ResolutionProbe::Ambiguous(_) => {}
+        other => panic!("expected Ambiguous after the fault, got {other:?}"),
+    }
+}
+
 #[test]
 fn lint_probe_contains_its_fault() {
     use lalrcex::core::engine::ResolutionProbe;

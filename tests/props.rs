@@ -323,8 +323,9 @@ fn canonical_unions(
 /// the generator grammars, all corpus grammars and the yacc twins; a
 /// grammar whose canonical collection exceeds [`LR1_ORACLE_BUDGET`] is
 /// skipped and listed.
-#[test]
-fn lalr_lookaheads_equal_canonical_lr1_unions() {
+/// The grammars the automaton oracles run over: the generator grammars,
+/// all corpus grammars and the committed yacc twins, each with a name.
+fn oracle_grammars() -> Vec<(String, Grammar)> {
     let mut grammars: Vec<(String, Grammar)> = (0..CASES)
         .map(|seed| {
             let mut rng = XorShift::new(0x1A1A + seed);
@@ -346,7 +347,12 @@ fn lalr_lookaheads_equal_canonical_lr1_unions() {
         let g = lalrcex::yacc::parse(&text).expect("twins parse");
         grammars.push((format!("yacc twin {}", path.display()), g));
     }
+    grammars
+}
 
+#[test]
+fn lalr_lookaheads_equal_canonical_lr1_unions() {
+    let grammars = oracle_grammars();
     let mut skipped = Vec::new();
     for (name, g) in &grammars {
         let auto = Automaton::build(g);
@@ -374,4 +380,90 @@ fn lalr_lookaheads_equal_canonical_lr1_unions() {
     );
     // Pinned, so that coverage cannot shrink unnoticed.
     assert_eq!(skipped, ["java-ext1", "java-ext2"]);
+}
+
+/// One LR(0) state of the reference construction: items (kernel first),
+/// kernel length, sorted transitions.
+type RefState = (Vec<Item>, usize, Vec<(SymbolId, StateId)>);
+
+/// The straightforward LR(0) canonical collection, kept as a reference for
+/// [`Automaton::build`]: a `HashMap` of seen items per closure, items
+/// grouped by next symbol with a linear search, kernels interned in a
+/// default-hashed `HashMap`.
+fn reference_lr0(g: &Grammar) -> Vec<RefState> {
+    fn closure(g: &Grammar, kernel: &[Item]) -> Vec<Item> {
+        let mut items = kernel.to_vec();
+        let mut seen: HashSet<Item> = items.iter().copied().collect();
+        let mut idx = 0;
+        while idx < items.len() {
+            let it = items[idx];
+            idx += 1;
+            if let Some(next) = it.next_symbol(g).filter(|&s| g.is_nonterminal(s)) {
+                for &pid in g.prods_of(next) {
+                    if seen.insert(Item::start(pid)) {
+                        items.push(Item::start(pid));
+                    }
+                }
+            }
+        }
+        items[kernel.len()..].sort_unstable();
+        items
+    }
+
+    let start = vec![Item::start(g.accept_prod())];
+    let mut kernels: HashMap<Vec<Item>, usize> = HashMap::from([(start.clone(), 0)]);
+    let mut states: Vec<RefState> = vec![(closure(g, &start), 1, Vec::new())];
+    let mut work = 0;
+    while work < states.len() {
+        let mut by_symbol: Vec<(SymbolId, Vec<Item>)> = Vec::new();
+        for &it in &states[work].0 {
+            if let Some(next) = it.next_symbol(g) {
+                match by_symbol.iter_mut().find(|(s, _)| *s == next) {
+                    Some((_, v)) => v.push(it.advance(g)),
+                    None => by_symbol.push((next, vec![it.advance(g)])),
+                }
+            }
+        }
+        let mut transitions = Vec::new();
+        for (sym, mut kernel) in by_symbol {
+            kernel.sort_unstable();
+            kernel.dedup();
+            let id = match kernels.get(&kernel) {
+                Some(&id) => id,
+                None => {
+                    let id = states.len();
+                    states.push((closure(g, &kernel), kernel.len(), Vec::new()));
+                    kernels.insert(kernel, id);
+                    id
+                }
+            };
+            transitions.push((sym, StateId::from_index(id)));
+        }
+        transitions.sort_unstable_by_key(|&(s, _)| s);
+        states[work].2 = transitions;
+        work += 1;
+    }
+    states
+}
+
+/// [`Automaton::build`] numbers its states, orders their items and lists
+/// their transitions exactly like the reference construction, over every
+/// oracle grammar.
+#[test]
+fn lr0_states_equal_reference_construction() {
+    for (name, g) in &oracle_grammars() {
+        let auto = Automaton::build(g);
+        let reference = reference_lr0(g);
+        assert_eq!(auto.state_count(), reference.len(), "{name}: state count");
+        for (id, (items, kernel_len, transitions)) in auto.state_ids().zip(&reference) {
+            let st = auto.state(id);
+            assert_eq!(st.items(), items.as_slice(), "{name}: {id:?} items");
+            assert_eq!(st.kernel_len(), *kernel_len, "{name}: {id:?} kernel");
+            assert_eq!(
+                st.transitions(),
+                transitions.as_slice(),
+                "{name}: {id:?} transitions"
+            );
+        }
+    }
 }
