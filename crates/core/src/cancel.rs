@@ -192,77 +192,15 @@ impl Drop for GovernorLease<'_> {
     }
 }
 
-/// A pool of *extra* worker permits for intra-conflict frontier sharding.
-///
-/// The engine sizes it to `hardware workers − outer conflict workers` and
-/// each outer worker returns its own permit when it runs out of conflicts,
-/// so a late heavy conflict (the stackovf08/xi single-search pattern) can
-/// recruit the idle cores. Claims are advisory: how many permits a search
-/// gets only changes how a frontier batch is *chunked* for expansion, never
-/// the canonical merge order, so results and counters stay byte-identical
-/// at any permit count.
-#[derive(Debug, Default)]
-pub struct ShardBudget {
-    permits: AtomicUsize,
-}
-
-impl ShardBudget {
-    /// A budget holding `permits` extra workers.
-    pub fn new(permits: usize) -> ShardBudget {
-        ShardBudget {
-            permits: AtomicUsize::new(permits),
-        }
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        self.permits.load(Ordering::Relaxed)
-    }
-
-    /// Claims up to `max` permits; returns how many were actually taken
-    /// (possibly zero). The caller must [`ShardBudget::release`] them.
-    pub fn try_claim(&self, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut cur = self.permits.load(Ordering::Relaxed);
-        loop {
-            let take = cur.min(max);
-            if take == 0 {
-                return 0;
-            }
-            match self.permits.compare_exchange_weak(
-                cur,
-                cur - take,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return take,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Returns `n` permits to the pool.
-    pub fn release(&self, n: usize) {
-        if n > 0 {
-            self.permits.fetch_add(n, Ordering::AcqRel);
-        }
-    }
-}
-
 /// The shared cancellation context threaded through a search: who can stop
-/// it ([`CancelToken`]), who can make it shed ([`MemoryGovernor`]), and who
-/// lends it extra expansion workers ([`ShardBudget`]).
+/// it ([`CancelToken`]) and who can make it shed ([`MemoryGovernor`]). The
+/// engine shares one session across all of a grammar's conflict workers.
 #[derive(Clone, Copy)]
 pub struct SearchSession<'a> {
     /// Cooperative stop flag, polled on the cancel stride.
     pub cancel: &'a CancelToken,
     /// Soft memory governor for frontier shedding.
     pub governor: &'a MemoryGovernor,
-    /// Extra workers for intra-conflict frontier sharding (`None` = always
-    /// expand single-threaded, e.g. the lint masking probes).
-    pub shards: Option<&'a ShardBudget>,
 }
 
 #[cfg(test)]
@@ -315,18 +253,6 @@ mod tests {
             assert!(!g.over_limit());
         }
         assert_eq!(g.live_bytes(), 0, "leases release on drop");
-    }
-
-    #[test]
-    fn shard_budget_claims_and_releases() {
-        let b = ShardBudget::new(3);
-        assert_eq!(b.available(), 3);
-        assert_eq!(b.try_claim(2), 2);
-        assert_eq!(b.try_claim(5), 1, "claims are clamped to availability");
-        assert_eq!(b.try_claim(1), 0, "empty pool claims nothing");
-        b.release(3);
-        assert_eq!(b.available(), 3);
-        assert_eq!(ShardBudget::new(0).try_claim(4), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use lalrcex_grammar::{Analysis, Grammar};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, Resolution, StateId, Tables};
 
-use crate::cancel::{CancelToken, MemoryGovernor, SearchSession, ShardBudget};
+use crate::cancel::{CancelToken, MemoryGovernor, SearchSession};
 use crate::contain::contain;
 use crate::error::EngineError;
 use crate::lssi::{self, LsNode};
@@ -105,9 +105,8 @@ pub enum ResolutionProbe {
     Internal(EngineError),
 }
 
-/// The total worker-pool size implied by a configured worker count: `0`
-/// means one per available CPU. Outer per-conflict workers and
-/// intra-conflict shard workers are both drawn from this one pool.
+/// The worker-pool size implied by a configured worker count: `0` means
+/// one per available CPU.
 pub fn hardware_workers(configured: usize) -> usize {
     if configured > 0 {
         configured
@@ -116,9 +115,9 @@ pub fn hardware_workers(configured: usize) -> usize {
     }
 }
 
-/// Resolves a configured worker count to the number of *outer* per-conflict
-/// workers: [`hardware_workers`] clamped to `[1, conflicts]`. Pool capacity
-/// beyond the conflict count is lent to heavy searches as a [`ShardBudget`].
+/// Resolves a configured worker count to the number of per-conflict
+/// workers: [`hardware_workers`] clamped to `[1, conflicts]`. Each worker
+/// runs one conflict's search at a time, single-threaded.
 pub fn resolve_workers(configured: usize, conflicts: usize) -> usize {
     hardware_workers(configured).clamp(1, conflicts.max(1))
 }
@@ -356,12 +355,9 @@ impl<'g> Engine<'g> {
             };
             let cancel = CancelToken::new();
             let governor = MemoryGovernor::unlimited();
-            // No shard budget: probe results feed lint snapshots, and a
-            // single-threaded probe keeps its wall-clock profile flat.
             let session = SearchSession {
                 cancel: &cancel,
                 governor: &governor,
-                shards: None,
             };
             let mut metrics = crate::stats::SearchMetrics::default();
             match unifying_search_session(
@@ -438,12 +434,9 @@ impl<'g> Engine<'g> {
     ) -> ConflictReport {
         let cancel = CancelToken::new();
         let governor = MemoryGovernor::with_limit_mb(cfg.max_live_mb);
-        // A lone conflict gets the whole pool minus the thread running it.
-        let shards = ShardBudget::new(hardware_workers(cfg.workers).saturating_sub(1));
         let session = SearchSession {
             cancel: &cancel,
             governor: &governor,
-            shards: Some(&shards),
         };
         self.analyze_conflict_cancellable(conflict, cfg, deadline, &session)
     }
@@ -614,16 +607,9 @@ impl<'g> Engine<'g> {
         let deadline = started + budget;
         let workers = resolve_workers(cfg.workers, n);
         let governor = MemoryGovernor::with_limit_mb(cfg.max_live_mb);
-        // Pool capacity not consumed by outer workers is lent to heavy
-        // searches for intra-conflict frontier sharding; each outer worker
-        // returns its own permit below when it runs out of conflicts, so a
-        // late heavy search (the stackovf08/xi pattern) can recruit the
-        // idle cores instead of waiting out its timeout alone.
-        let shards = ShardBudget::new(hardware_workers(cfg.workers).saturating_sub(workers));
         let session = SearchSession {
             cancel,
             governor: &governor,
-            shards: Some(&shards),
         };
 
         let mut slots: Vec<Option<ConflictReport>> = (0..n).map(|_| None).collect();
@@ -637,9 +623,10 @@ impl<'g> Engine<'g> {
                 }));
             }
         } else {
-            // Work-stealing by atomic index: cheap, and conflict order is
-            // restored by slot index on collection, so the report order is
-            // deterministic regardless of scheduling.
+            // Per-conflict fan-out, work-stealing by atomic index: cheap,
+            // and conflict order is restored by slot index on collection,
+            // so the report order is deterministic regardless of
+            // scheduling. Each search stays on the worker that claimed it.
             let next = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, ConflictReport)>();
             std::thread::scope(|scope| {
@@ -647,16 +634,12 @@ impl<'g> Engine<'g> {
                     let tx = tx.clone();
                     let next = &next;
                     let conflicts = &conflicts;
-                    let shards = &shards;
                     scope.spawn(move || loop {
                         if session.cancel.is_hard_cancelled() {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
-                            // Out of conflicts: lend this worker to any
-                            // still-running heavy search.
-                            shards.release(1);
                             break;
                         }
                         let report = crate::faultpoint::with_scope(i as u64, || {

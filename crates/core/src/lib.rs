@@ -18,13 +18,13 @@
 //!
 //! ```
 //! use lalrcex_grammar::Grammar;
-//! use lalrcex_core::{analyze, format_report};
+//! use lalrcex_core::{format_report, CexConfig, Engine};
 //!
 //! let g = Grammar::parse(
 //!     "%% s : 'if' e 'then' s 'else' s | 'if' e 'then' s | OTHER ;
 //!         e : ID ;",
 //! )?;
-//! let report = analyze(&g);
+//! let report = Engine::new(&g).analyze_all(&CexConfig::default());
 //! assert_eq!(report.unifying_count(), 1, "dangling else is ambiguous");
 //! let text = format_report(&g, &report.reports[0]);
 //! assert!(text.contains("Ambiguity detected for nonterminal s"));
@@ -57,9 +57,7 @@ pub mod stats;
 pub mod validate;
 
 pub use cache::{content_hash, tagged_hash, BuildError, CacheStats, CachedEngine, EngineCache};
-pub use cancel::{
-    CancelReason, CancelToken, GovernorLease, MemoryGovernor, SearchSession, ShardBudget,
-};
+pub use cancel::{CancelReason, CancelToken, GovernorLease, MemoryGovernor, SearchSession};
 pub use contain::contain;
 pub use engine::{hardware_workers, resolve_workers, Engine, Facts, ResolutionProbe, Spine};
 pub use error::EngineError;
@@ -70,7 +68,7 @@ pub use provenance::{
     ResolutionProvenance,
 };
 pub use report::{
-    analyze, display_item_cup, format_report, Analyzer, CexConfig, ConflictOutcome, ConflictReport,
+    display_item_cup, format_report, Analyzer, CexConfig, ConflictOutcome, ConflictReport,
     ExampleKind, GrammarReport,
 };
 pub use search::{

@@ -253,24 +253,6 @@ impl<'g> Analyzer<'g> {
     }
 }
 
-/// One-call convenience: analyze all conflicts of `g` with default limits.
-///
-/// # Example
-///
-/// ```
-/// use lalrcex_grammar::Grammar;
-/// use lalrcex_core::analyze;
-///
-/// let g = Grammar::parse("%% e : e '+' e | NUM ;")?;
-/// let report = analyze(&g);
-/// assert_eq!(report.reports.len(), 1);
-/// assert_eq!(report.unifying_count(), 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn analyze(g: &Grammar) -> GrammarReport {
-    Analyzer::new(g).analyze_all(&CexConfig::default())
-}
-
 /// Formats an item in CUP's style: `expr ::= expr · PLUS expr` (also used
 /// by the JSON report schema, so the same rendering appears in both).
 pub fn display_item_cup(g: &Grammar, item: Item) -> String {

@@ -34,11 +34,14 @@
 //!
 //! The frontier is processed one cost *bucket* at a time: every action
 //! costs at least 1, so the current bucket can never receive new entries
-//! while it is being expanded. Bucket expansion is side-effect-free and is
-//! chunked across any extra workers the engine's [`ShardBudget`](crate::cancel::ShardBudget) lends
-//! (intra-conflict frontier sharding); the results are then merged into the
-//! arenas in canonical batch order, so the search's outcome *and* all of
-//! its deterministic counters are byte-identical at any worker count.
+//! while it is being expanded. The drained bucket is the expansion unit:
+//! its configurations are first walked in FIFO order (cancel polls and
+//! completion checks), then expanded into edit descriptors against the
+//! read-only arenas, and the descriptors are finally merged into the
+//! arenas in that same order. Cells are allocated only at merge, so cell
+//! ids — and with them the reported examples — follow the canonical
+//! bucket order. One search runs on one thread; parallelism is across
+//! conflicts ([`crate::Engine::analyze_all`]).
 
 use std::time::{Duration, Instant};
 
@@ -68,8 +71,6 @@ const REDUCE_COST: u32 = 1;
 /// sequence — §5.4: "the search algorithm must postpone such an expansion
 /// until other configurations have been considered".
 const DUPLICATE_PENALTY: u32 = 8;
-/// Hard ceiling on extra workers one frontier batch will recruit.
-const MAX_SHARDS: usize = 15;
 
 /// Tunable knobs for the unifying search.
 #[derive(Clone, Copy, Debug)]
@@ -96,12 +97,6 @@ pub struct SearchConfig {
     /// per node (the `cancel_stride` bench group quantifies the overhead).
     /// Rounded up to a power of two; `1` polls on every pop.
     pub cancel_stride: u32,
-    /// Smallest frontier batch worth sharding across extra workers from
-    /// the session's [`ShardBudget`](crate::cancel::ShardBudget) — below it the per-batch thread-spawn
-    /// overhead dominates. Sharding never changes results or deterministic
-    /// counters, only wall-clock, so this is purely a throughput knob
-    /// (tests pin determinism with `1` to force sharding on tiny batches).
-    pub shard_min: u32,
 }
 
 impl Default for SearchConfig {
@@ -112,7 +107,6 @@ impl Default for SearchConfig {
             max_configs: 1 << 21,
             max_cost: u32::MAX,
             cancel_stride: 256,
-            shard_min: 256,
         }
     }
 }
@@ -150,9 +144,9 @@ pub enum SearchOutcome {
 
 /// All search-owned storage: the configuration arenas plus their shared
 /// pools. Cells are only allocated at initialization and during the
-/// sequential merge phase, so everything here grows deterministically with
-/// the (worker-invariant) insertion sequence — the governor lease derived
-/// from actual capacities is reproducible across runs and worker counts.
+/// merge phase, so everything here grows deterministically with the
+/// insertion sequence — the governor lease derived from actual capacities
+/// is reproducible across runs and worker counts.
 struct Mem {
     /// Item-sequence cons cells.
     icell: CellArena,
@@ -297,10 +291,10 @@ enum DerivDesc {
     Reduce { pops: u32, lhs: SymbolId },
 }
 
-/// A successor candidate produced by (possibly parallel) expansion; merge
-/// resolves it against the visited set and commits it to the arenas.
-/// Candidates are pure *edit descriptors* — expansion allocates no cells,
-/// so it can run sharded without touching shared state.
+/// A successor candidate produced by expansion; merge resolves it against
+/// the visited set and commits it to the arenas. Candidates are pure *edit
+/// descriptors* — expansion only reads the arenas and allocates no cells,
+/// so cell ids follow the canonical merge order.
 struct Cand {
     parent: u32,
     cost: u32,
@@ -318,11 +312,11 @@ struct Cand {
     dd: [DerivDesc; 2],
 }
 
-/// Per-worker expansion output; cleared per batch, so its transient
+/// The search's expansion output; cleared per batch, so its transient
 /// capacity is deliberately *excluded* from the governor lease. The
-/// membership memo is excluded for a second reason: each worker grows its
-/// own, so its size is the one piece of state that *does* vary with the
-/// worker count — leasing it would move the governor's shed point.
+/// membership memo is excluded too: it is a cache over immutable cells,
+/// not frontier state, so the lease (and the shed point) counts only the
+/// arenas, the visited set and the queue.
 #[derive(Default)]
 struct ExpandBuf {
     cands: Vec<Cand>,
@@ -845,8 +839,8 @@ pub fn unifying_search(
 /// explored/enqueued/deduped configuration counts and the frontier
 /// high-water mark. The counters count *arena records* (configurations
 /// accepted into the frontier) and are deterministic for a given conflict
-/// and configuration at any worker count — expansion is merged in
-/// canonical batch order however it was sharded.
+/// and configuration at any worker count — one search runs on one thread
+/// and merges each batch in canonical order.
 #[allow(clippy::too_many_arguments)]
 pub fn unifying_search_metered(
     g: &Grammar,
@@ -862,7 +856,6 @@ pub fn unifying_search_metered(
     let session = SearchSession {
         cancel: &cancel,
         governor: &governor,
-        shards: None,
     };
     unifying_search_session(
         g,
@@ -897,8 +890,7 @@ pub fn conflict_on<'a>(
 /// (derived from actual arena capacities) to `session.governor`, *shedding*
 /// — tightening its cost cap to the cost of the bucket it is draining so
 /// the frontier empties — when the grammar-wide soft memory limit is
-/// exceeded, and recruits extra expansion workers from `session.shards`
-/// for heavy frontier batches.
+/// exceeded.
 ///
 /// Cancellation and shedding both surface as [`SearchOutcome::TimedOut`]:
 /// the caller falls back to the nonunifying construction exactly as for a
@@ -999,13 +991,12 @@ fn search_loop(
     // Stride mask: poll when `pops & mask == 0`. Rounded up to a power of
     // two so the check is one AND instead of a division.
     let mask = cfg.cancel_stride.max(1).next_power_of_two() - 1;
-    let shard_min = cfg.shard_min.max(1) as usize;
     let mut lease = GovernorLease::new(session.governor);
     let mut effective_max_cost = cfg.max_cost;
     let mut pops: u32 = 0;
     let mut cost_pruned = false;
     let mut batch: Vec<u32> = Vec::new();
-    let mut bufs: Vec<ExpandBuf> = vec![ExpandBuf::default()];
+    let mut buf = ExpandBuf::default();
     // Merge-phase scratch (cell walks and popped derivation children).
     let mut scratch: Vec<u32> = Vec::new();
     let mut popped: Vec<u32> = Vec::new();
@@ -1054,146 +1045,105 @@ fn search_loop(
             }
         }
 
-        // Expand phase: side-effect-free, chunked across this batch's
-        // claimed shard workers. Chunking only changes wall-clock — the
-        // merge below consumes candidates in canonical batch order.
-        let claimed = match session.shards {
-            Some(b) if batch.len() >= shard_min => {
-                b.try_claim((batch.len() / shard_min).min(MAX_SHARDS))
-            }
-            _ => 0,
-        };
-        while bufs.len() < claimed + 1 {
-            bufs.push(ExpandBuf::default());
-        }
-        for buf in &mut bufs {
-            buf.clear();
-        }
-        if claimed == 0 {
-            let buf = &mut bufs[0];
-            for &idx in &batch {
-                search.successors(mem, idx, buf);
-            }
-        } else {
-            let chunk = batch.len().div_ceil(claimed + 1);
-            let mem_ref: &Mem = mem;
-            std::thread::scope(|scope| {
-                let mut work = batch.chunks(chunk).zip(bufs.iter_mut());
-                let first = work.next();
-                for (part, buf) in work {
-                    scope.spawn(move || {
-                        for &idx in part {
-                            search.successors(mem_ref, idx, buf);
-                        }
-                    });
-                }
-                if let Some((part, buf)) = first {
-                    for &idx in part {
-                        search.successors(mem_ref, idx, buf);
-                    }
-                }
-            });
-            if let Some(b) = session.shards {
-                b.release(claimed);
-            }
-            metrics.shard_batches += 1;
+        // Expand phase: side-effect-free, reads the arenas only.
+        buf.clear();
+        for &idx in &batch {
+            search.successors(mem, idx, &mut buf);
         }
 
-        // Merge phase: sequential, canonical order — dedup, intern, and
-        // commit accepted candidates to the arenas.
-        for buf in &bufs {
-            for cand in &buf.cands {
-                if cand.cost > effective_max_cost {
-                    cost_pruned = true;
-                    continue;
-                }
-                let parent = cand.parent as usize;
-                let mut pend = [0u32; 2];
-                for (p, out) in pend.iter_mut().enumerate() {
-                    *out = match cand.pend[p] {
-                        PendRef::Keep => mem.pend[parent][p],
-                        PendRef::Id(x) => x,
-                        PendRef::New(slot) => mem.sets.intern_ref(&buf.new_sets[slot as usize]),
-                    };
-                }
-                let h = mix(mix(cand.hash, pend[0] as u64), pend[1] as u64);
-                let new_idx = mem.len() as u32;
-                let (flags, len) = (cand.flags, cand.len);
-                // Dedup identity: flags, pending ids, and lengths compare
-                // exactly; item content compares by the two per-parser
-                // 64-bit positional hashes (a 128-bit fingerprint — for a
-                // false merge one parser's polynomial hash must collide at
-                // equal length, ~2^-64 per pair). Debug builds verify the
-                // fingerprint against the actual cells.
-                let inserted = visited.insert_with(h, new_idx, |other| {
-                    let o = other as usize;
-                    let eq = mem.flags[o] == flags
-                        && mem.pend[o] == pend
-                        && mem.ilen(o) == len
-                        && mem.ihash[o] == cand.h;
-                    debug_assert!(
-                        !eq || cand_items_eq(mem, cand, o),
-                        "positional-hash fingerprint collision"
-                    );
-                    eq
-                });
-                if !inserted {
-                    metrics.deduped += 1;
-                    continue;
-                }
-                // Commit: copy the parent's persistent sequences and apply
-                // the edits — the only point where cells are allocated, so
-                // cell ids follow the canonical merge order.
-                let mut iseq = mem.iseq[parent];
-                let mut ifirst = mem.ifirst[parent];
-                for p in 0..2 {
-                    match cand.op[p] {
-                        ItemOp::Keep => {}
-                        ItemOp::Prepend(v) => {
-                            iseq[p] = iseq[p].prepend(&mut mem.icell, v);
-                            ifirst[p] = v;
-                        }
-                        ItemOp::Append(v) => {
-                            iseq[p] = iseq[p].append(&mut mem.icell, v);
-                        }
-                        ItemOp::Reduce { pops, goto_item } => {
-                            iseq[p] = iseq[p]
-                                .pop_back(&mut mem.icell, pops, &mut scratch)
-                                .append(&mut mem.icell, goto_item);
-                        }
-                    }
-                }
-                let mut dseq = mem.dseq[parent];
-                for (p, d) in dseq.iter_mut().enumerate() {
-                    match cand.dd[p] {
-                        DerivDesc::Keep => {}
-                        DerivDesc::Prepend(leaf) => {
-                            *d = d.prepend(&mut mem.dcell, leaf);
-                        }
-                        DerivDesc::Append(leaf) => {
-                            *d = d.append(&mut mem.dcell, leaf);
-                        }
-                        DerivDesc::Reduce { pops, lhs } => {
-                            d.read_back(&mem.dcell, pops, &mut popped, &mut scratch);
-                            popped.reverse();
-                            let off = mem.kids.extend(&popped);
-                            let node = mem.nodes.push_node(lhs, off, pops);
-                            *d = d
-                                .pop_back(&mut mem.dcell, pops, &mut scratch)
-                                .append(&mut mem.dcell, node);
-                        }
-                    }
-                }
-                mem.cost.push(cand.cost);
-                mem.flags.push(flags);
-                mem.pend.push(pend);
-                mem.iseq.push(iseq);
-                mem.ifirst.push(ifirst);
-                mem.ihash.push(cand.h);
-                mem.dseq.push(dseq);
-                queue.push(cand.cost, new_idx);
-                metrics.enqueued += 1;
+        // Merge phase: canonical batch order — dedup, intern, and commit
+        // accepted candidates to the arenas.
+        for cand in &buf.cands {
+            if cand.cost > effective_max_cost {
+                cost_pruned = true;
+                continue;
             }
+            let parent = cand.parent as usize;
+            let mut pend = [0u32; 2];
+            for (p, out) in pend.iter_mut().enumerate() {
+                *out = match cand.pend[p] {
+                    PendRef::Keep => mem.pend[parent][p],
+                    PendRef::Id(x) => x,
+                    PendRef::New(slot) => mem.sets.intern_ref(&buf.new_sets[slot as usize]),
+                };
+            }
+            let h = mix(mix(cand.hash, pend[0] as u64), pend[1] as u64);
+            let new_idx = mem.len() as u32;
+            let (flags, len) = (cand.flags, cand.len);
+            // Dedup identity: flags, pending ids, and lengths compare
+            // exactly; item content compares by the two per-parser
+            // 64-bit positional hashes (a 128-bit fingerprint — for a
+            // false merge one parser's polynomial hash must collide at
+            // equal length, ~2^-64 per pair). Debug builds verify the
+            // fingerprint against the actual cells.
+            let inserted = visited.insert_with(h, new_idx, |other| {
+                let o = other as usize;
+                let eq = mem.flags[o] == flags
+                    && mem.pend[o] == pend
+                    && mem.ilen(o) == len
+                    && mem.ihash[o] == cand.h;
+                debug_assert!(
+                    !eq || cand_items_eq(mem, cand, o),
+                    "positional-hash fingerprint collision"
+                );
+                eq
+            });
+            if !inserted {
+                metrics.deduped += 1;
+                continue;
+            }
+            // Commit: copy the parent's persistent sequences and apply
+            // the edits — the only point where cells are allocated, so
+            // cell ids follow the canonical merge order.
+            let mut iseq = mem.iseq[parent];
+            let mut ifirst = mem.ifirst[parent];
+            for p in 0..2 {
+                match cand.op[p] {
+                    ItemOp::Keep => {}
+                    ItemOp::Prepend(v) => {
+                        iseq[p] = iseq[p].prepend(&mut mem.icell, v);
+                        ifirst[p] = v;
+                    }
+                    ItemOp::Append(v) => {
+                        iseq[p] = iseq[p].append(&mut mem.icell, v);
+                    }
+                    ItemOp::Reduce { pops, goto_item } => {
+                        iseq[p] = iseq[p]
+                            .pop_back(&mut mem.icell, pops, &mut scratch)
+                            .append(&mut mem.icell, goto_item);
+                    }
+                }
+            }
+            let mut dseq = mem.dseq[parent];
+            for (p, d) in dseq.iter_mut().enumerate() {
+                match cand.dd[p] {
+                    DerivDesc::Keep => {}
+                    DerivDesc::Prepend(leaf) => {
+                        *d = d.prepend(&mut mem.dcell, leaf);
+                    }
+                    DerivDesc::Append(leaf) => {
+                        *d = d.append(&mut mem.dcell, leaf);
+                    }
+                    DerivDesc::Reduce { pops, lhs } => {
+                        d.read_back(&mem.dcell, pops, &mut popped, &mut scratch);
+                        popped.reverse();
+                        let off = mem.kids.extend(&popped);
+                        let node = mem.nodes.push_node(lhs, off, pops);
+                        *d = d
+                            .pop_back(&mut mem.dcell, pops, &mut scratch)
+                            .append(&mut mem.dcell, node);
+                    }
+                }
+            }
+            mem.cost.push(cand.cost);
+            mem.flags.push(flags);
+            mem.pend.push(pend);
+            mem.iseq.push(iseq);
+            mem.ifirst.push(ifirst);
+            mem.ihash.push(cand.h);
+            mem.dseq.push(dseq);
+            queue.push(cand.cost, new_idx);
+            metrics.enqueued += 1;
         }
         metrics.frontier_peak = metrics.frontier_peak.max(queue.len() as u64);
     }
@@ -1208,12 +1158,12 @@ fn search_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::ShardBudget;
     use crate::lssi;
     use crate::report::ExampleKind;
-    use crate::report::{analyze, Analyzer, CexConfig};
+    use crate::report::{Analyzer, CexConfig};
     use crate::state_graph::StateGraph;
     use crate::validate::unifying_consistent;
+    use crate::Engine;
 
     fn figure1() -> Grammar {
         Grammar::parse(
@@ -1311,7 +1261,7 @@ mod tests {
                 B : 'a' 'b' 'c' | 'a' 'b' 'd' ;",
         )
         .unwrap();
-        let report = analyze(&g);
+        let report = Engine::new(&g).analyze_all(&CexConfig::default());
         assert_eq!(report.reports.len(), 2, "Table 1 row figure7: 2 conflicts");
         for r in &report.reports {
             assert_eq!(r.kind(), Some(ExampleKind::Unifying), "{:?}", r.conflict);
@@ -1325,7 +1275,7 @@ mod tests {
         // Ambiguous r/r: two nonterminals derive the same string with the
         // same continuation.
         let g = Grammar::parse("%% s : a X | b X ; a : T ; b : T ;").unwrap();
-        let report = analyze(&g);
+        let report = Engine::new(&g).analyze_all(&CexConfig::default());
         assert_eq!(report.reports.len(), 1);
         let r = &report.reports[0];
         assert_eq!(r.kind(), Some(ExampleKind::Unifying));
@@ -1339,7 +1289,7 @@ mod tests {
     fn epsilon_production_conflict() {
         // Nullable production in conflict: s : A s | A | ε-ish shape.
         let g = Grammar::parse("%% s : 'a' s | o ; o : | 'a' ;").unwrap();
-        let report = analyze(&g);
+        let report = Engine::new(&g).analyze_all(&CexConfig::default());
         assert!(!report.reports.is_empty());
         for r in &report.reports {
             if let Some(ex) = &r.unifying {
@@ -1402,7 +1352,6 @@ mod tests {
         let session = SearchSession {
             cancel: &cancel,
             governor: &governor,
-            shards: None,
         };
         let mut m = SearchMetrics::default();
         let out = run_conflict_session(&g, "else", &SearchConfig::default(), &session, &mut m);
@@ -1418,7 +1367,6 @@ mod tests {
         let session = SearchSession {
             cancel: &cancel,
             governor: &governor,
-            shards: None,
         };
         let cfg = SearchConfig {
             cancel_stride: 1, // poll every pop so the shed fires immediately
@@ -1444,7 +1392,6 @@ mod tests {
             let session = SearchSession {
                 cancel: &cancel,
                 governor: &governor,
-                shards: None,
             };
             let cfg = SearchConfig {
                 cancel_stride: stride,
@@ -1456,49 +1403,6 @@ mod tests {
             counters.push((m.explored, m.enqueued, m.deduped, m.frontier_peak));
         }
         assert_eq!(counters[0], counters[1]);
-    }
-
-    #[test]
-    fn sharded_expansion_matches_sequential() {
-        // Intra-conflict sharding must not change the outcome or any
-        // deterministic counter: force sharding with `shard_min: 1` and
-        // compare against the unsharded run, for several permit counts.
-        let g = figure1();
-        let governor = MemoryGovernor::unlimited();
-        let mut results = Vec::new();
-        for permits in [0usize, 1, 3] {
-            let cancel = CancelToken::new();
-            let budget = ShardBudget::new(permits);
-            let session = SearchSession {
-                cancel: &cancel,
-                governor: &governor,
-                shards: if permits == 0 { None } else { Some(&budget) },
-            };
-            let cfg = SearchConfig {
-                shard_min: 1,
-                ..SearchConfig::default()
-            };
-            let mut m = SearchMetrics::default();
-            let out = run_conflict_session(&g, "digit", &cfg, &session, &mut m);
-            let SearchOutcome::Unifying(ex) = out else {
-                panic!("expected unifying example, got {out:?}");
-            };
-            results.push((
-                ex.derivation1.flat(&g),
-                ex.derivation2.flat(&g),
-                m.explored,
-                m.enqueued,
-                m.deduped,
-                m.frontier_peak,
-                m.arena_cells,
-            ));
-            if permits > 0 {
-                assert!(m.shard_batches > 0, "sharding did engage at {permits}");
-                assert_eq!(budget.available(), permits, "permits returned");
-            }
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 
     #[test]

@@ -303,8 +303,7 @@ impl Seq {
     /// values one cell apart, turning O(length) scans into O(1) lookups —
     /// without this the §5.4 duplicate checks dominate the whole search.
     /// Exactness is unaffected: the memo holds only true facts, so any
-    /// subset of entries (per-worker memos included) yields identical
-    /// answers.
+    /// subset of entries yields identical answers.
     pub fn contains_memo(
         self,
         ar: &CellArena,
@@ -366,7 +365,9 @@ fn list_contains_memo(ar: &CellArena, head: u32, v: u32, memo: &mut FactMap) -> 
 /// An insert-only open-addressing map from 64-bit keys to booleans,
 /// recording immutable facts (memoized cons-list membership). Entries are
 /// never deleted or changed, so probing needs no tombstones and a repeated
-/// insert is a no-op.
+/// insert is a no-op. The search keeps one per conflict and leaves it out
+/// of the memory governor's lease, which counts the arenas, the visited
+/// set and the queue only.
 #[derive(Default)]
 pub struct FactMap {
     keys: Vec<u64>,
@@ -670,9 +671,8 @@ pub const COST_RING: usize = 16;
 ///
 /// Because every search action costs at least 1, a popped bucket never
 /// receives new entries while it is being processed: the search can take
-/// the *entire* current-cost bucket as one batch, which is what makes the
-/// intra-conflict frontier sharding deterministic (the batch is expanded in
-/// canonical order regardless of how many workers help).
+/// the *entire* current-cost bucket as one batch, expand it against the
+/// read-only arenas, and merge the results in the bucket's FIFO order.
 pub struct BucketQueue {
     buckets: Vec<Vec<u32>>,
     cur: u32,

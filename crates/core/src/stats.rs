@@ -19,7 +19,7 @@ use std::time::Duration;
 /// `explored`, `enqueued`, `deduped`, and `frontier_peak` count **arena
 /// records** — configurations committed to the search's configuration
 /// arena — not transient queue operations, so they are invariant under the
-/// queue implementation and under intra-conflict expansion sharding.
+/// queue implementation and the worker count.
 /// `enqueued > explored` is a legitimate final state: a search that finds
 /// its unifying example (or hits a cutoff) returns with a nonempty
 /// frontier, whose members were enqueued but never explored (stackovf10 in
@@ -49,12 +49,6 @@ pub struct SearchMetrics {
     /// Total `u32` cells appended to the item-sequence and derivation-list
     /// pools — the arena footprint behind the record counts. Deterministic.
     pub arena_cells: u64,
-    /// Frontier batches whose expansion was sharded across extra workers
-    /// from the [`crate::ShardBudget`]. Depends on what the budget had
-    /// available at the moment of the claim, so — like `sheds` — it is
-    /// excluded from the determinism guarantee (the *results* of sharded
-    /// batches are not: merge order is canonical).
-    pub shard_batches: u64,
 }
 
 impl SearchMetrics {
@@ -68,7 +62,6 @@ impl SearchMetrics {
         self.live_bytes_peak = self.live_bytes_peak.max(other.live_bytes_peak);
         self.sheds += other.sheds;
         self.arena_cells += other.arena_cells;
-        self.shard_batches += other.shard_batches;
     }
 }
 
@@ -223,7 +216,7 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
          (lr0 {:.1}ms, lookaheads {:.1}ms, tables {:.1}ms, state graph {:.1}ms)\n\
          \u{20} spine memo: {} hits / {} misses ({} LSSI nodes expanded)\n\
          \u{20} unifying search: {} explored, {} enqueued, {} deduped, frontier peak {}, {} arena cells\n\
-         \u{20} memory: live-bytes peak {}, {} sheds, {} sharded batches\n\
+         \u{20} memory: live-bytes peak {}, {} sheds\n\
          \u{20} supervision: {} slot retries / {} recovered\n\
          \u{20} engine cache: {} hits / {} misses / {} evictions\n\
          \u{20} provenance: {} true-ambiguity / {} merge-artifact / {} precedence-resolved / {} internal (lr1 states {}, {:.1}ms)\n\
@@ -245,7 +238,6 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
         stats.search.arena_cells,
         stats.search.live_bytes_peak,
         stats.search.sheds,
-        stats.search.shard_batches,
         stats.slot_retries,
         stats.slots_recovered,
         stats.cache_hits,
@@ -276,7 +268,6 @@ mod tests {
             live_bytes_peak: 100,
             sheds: 1,
             arena_cells: 7,
-            shard_batches: 1,
         };
         let b = SearchMetrics {
             explored: 10,
@@ -286,7 +277,6 @@ mod tests {
             live_bytes_peak: 400,
             sheds: 2,
             arena_cells: 70,
-            shard_batches: 2,
         };
         a.merge(&b);
         assert_eq!(a.explored, 11);
@@ -296,7 +286,6 @@ mod tests {
         assert_eq!(a.live_bytes_peak, 400);
         assert_eq!(a.sheds, 3);
         assert_eq!(a.arena_cells, 77);
-        assert_eq!(a.shard_batches, 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    streams, and the tree shapes confirm the declarations did what we
 //!    meant.
 
-use lalrcex::core::analyze;
+use lalrcex::core::{CexConfig, Engine};
 use lalrcex::grammar::{Derivation, Grammar, SymbolId};
 use lalrcex::lr::{parser, Automaton};
 
@@ -40,7 +40,7 @@ fn show(g: &Grammar, d: &Derivation, indent: usize) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 1: the ambiguous version.
     let naive = Grammar::parse("%% e : e '+' e | e '*' e | NUM | '(' e ')' ;")?;
-    let report = analyze(&naive);
+    let report = Engine::new(&naive).analyze_all(&CexConfig::default());
     println!("naive grammar: {} conflicts", report.reports.len());
     for r in &report.reports {
         if let Some(u) = &r.unifying {

@@ -8,7 +8,7 @@
 //! factoring), then confirm the fix with the same tool — and with the
 //! independent GLR oracle.
 
-use lalrcex::core::analyze;
+use lalrcex::core::{CexConfig, Engine};
 use lalrcex::grammar::Grammar;
 use lalrcex::lr::{glr, Automaton};
 
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
               ;
          expr : ID ;",
     )?;
-    let report = analyze(&broken);
+    let report = Engine::new(&broken).analyze_all(&CexConfig::default());
     let r = &report.reports[0];
     let u = r.unifying.as_ref().expect("dangling else is ambiguous");
     println!("conflict explained by: {}", u.derivation1.flat(&broken));
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                    ;
          expr : ID ;",
     )?;
-    let fixed_report = analyze(&fixed);
+    let fixed_report = Engine::new(&fixed).analyze_all(&CexConfig::default());
     println!(
         "\nafter the matched/unmatched factoring: {} conflicts",
         fixed_report.reports.len()

@@ -6,7 +6,7 @@
 //! generator says "3 conflicts", and you want to know *why* — with a
 //! concrete input that demonstrates each problem.
 
-use lalrcex::core::{analyze, format_report};
+use lalrcex::core::{format_report, CexConfig, Engine};
 use lalrcex::grammar::Grammar;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          num  : digit | num digit ;",
     )?;
 
-    let report = analyze(&grammar);
+    let report = Engine::new(&grammar).analyze_all(&CexConfig::default());
     println!(
         "{} conflicts, {} proven ambiguous\n",
         report.reports.len(),

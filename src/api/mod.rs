@@ -683,11 +683,10 @@ fn retry_slots(cached: &CachedEngine, report: &mut GrammarReport, req: &Analysis
     let fallback = CancelToken::new();
     let cancel = req.cancel.as_ref().unwrap_or(&fallback);
     let governor = MemoryGovernor::with_limit_mb(req.cfg.max_live_mb);
-    // Retries are one-at-a-time cleanup work; no shard budget.
+    // Retries are one-at-a-time cleanup work, in slot order on this thread.
     let session = SearchSession {
         cancel,
         governor: &governor,
-        shards: None,
     };
     let mut retried = 0;
     for (i, slot) in report.reports.iter_mut().enumerate() {

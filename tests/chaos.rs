@@ -198,14 +198,15 @@ fn worker_pool_survives_a_panic_storm() {
 
 /// The memory governor's shed point under a fixed `--max-rss-mb` budget.
 /// The lease is recomputed on the cancel stride from *actual* arena and
-/// table capacities — a pure function of the worker-invariant insertion
-/// sequence — so the same heavy conflict must shed at exactly the same
-/// explored count on every run and at every intra-conflict shard width.
+/// table capacities — a pure function of the search's insertion sequence —
+/// so the same heavy conflict must shed at exactly the same explored count
+/// on every run. A lone search owns its governor, so every counter,
+/// `sheds` included, is deterministic here.
 #[test]
-fn governor_shed_point_is_deterministic_across_shard_widths() {
+fn governor_shed_point_is_deterministic() {
     use lalrcex::core::{
         unifying_search_session, CancelToken, MemoryGovernor, SearchMetrics, SearchOutcome,
-        SearchSession, ShardBudget,
+        SearchSession,
     };
 
     let _guard = install(FaultPlan::new());
@@ -229,7 +230,6 @@ fn governor_shed_point_is_deterministic_across_shard_widths() {
         let session = SearchSession {
             cancel: &cancel,
             governor: &governor,
-            shards: None,
         };
         let mut m = SearchMetrics::default();
         unifying_search_session(
@@ -255,57 +255,37 @@ fn governor_shed_point_is_deterministic_across_shard_widths() {
     // mid-run, large enough that the search gets going first.
     let mut baseline: Option<(std::mem::Discriminant<SearchOutcome>, SearchMetrics)> = None;
     for repeat in 0..2 {
-        for permits in [0usize, 1, 3] {
-            let cancel = CancelToken::new();
-            let governor = MemoryGovernor::with_limit_bytes(512 * 1024);
-            let budget = ShardBudget::new(permits);
-            let session = SearchSession {
-                cancel: &cancel,
-                governor: &governor,
-                shards: Some(&budget),
-            };
-            let mut m = SearchMetrics::default();
-            let out = unifying_search_session(
-                &g,
-                engine.automaton(),
-                engine.graph(),
-                conflict,
-                &spine.states,
-                &cfg,
-                &session,
-                &mut m,
-            );
-            assert!(
-                matches!(out, SearchOutcome::TimedOut),
-                "governed search drains into TimedOut, got {out:?}"
-            );
-            assert!(m.sheds >= 1, "the 512 KiB limit must actually bite");
-            assert!(
-                m.explored < ungoverned[heavy.0],
-                "shedding cut the search short"
-            );
-            assert_eq!(governor.live_bytes(), 0, "lease released on return");
-            let key = (std::mem::discriminant(&out), m);
-            match &baseline {
-                None => baseline = Some(key),
-                Some((d, b)) => {
-                    assert_eq!(*d, key.0, "same outcome at permits={permits}");
-                    for (name, got, want) in [
-                        ("explored", key.1.explored, b.explored),
-                        ("enqueued", key.1.enqueued, b.enqueued),
-                        ("deduped", key.1.deduped, b.deduped),
-                        ("frontier_peak", key.1.frontier_peak, b.frontier_peak),
-                        ("arena_cells", key.1.arena_cells, b.arena_cells),
-                        ("live_bytes_peak", key.1.live_bytes_peak, b.live_bytes_peak),
-                        ("sheds", key.1.sheds, b.sheds),
-                    ] {
-                        assert_eq!(
-                            got, want,
-                            "{name} must match at repeat={repeat} permits={permits}"
-                        );
-                    }
-                }
-            }
+        let cancel = CancelToken::new();
+        let governor = MemoryGovernor::with_limit_bytes(512 * 1024);
+        let session = SearchSession {
+            cancel: &cancel,
+            governor: &governor,
+        };
+        let mut m = SearchMetrics::default();
+        let out = unifying_search_session(
+            &g,
+            engine.automaton(),
+            engine.graph(),
+            conflict,
+            &spine.states,
+            &cfg,
+            &session,
+            &mut m,
+        );
+        assert!(
+            matches!(out, SearchOutcome::TimedOut),
+            "governed search drains into TimedOut, got {out:?}"
+        );
+        assert!(m.sheds >= 1, "the 512 KiB limit must actually bite");
+        assert!(
+            m.explored < ungoverned[heavy.0],
+            "shedding cut the search short"
+        );
+        assert_eq!(governor.live_bytes(), 0, "lease released on return");
+        let key = (std::mem::discriminant(&out), m);
+        match &baseline {
+            None => baseline = Some(key),
+            Some(b) => assert_eq!(*b, key, "outcome and metrics must match at repeat={repeat}"),
         }
     }
 }

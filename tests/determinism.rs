@@ -139,13 +139,13 @@ fn partial_budget_never_loses_nonunifying() {
     }
 }
 
-/// Intra-conflict frontier sharding (the data-oriented core splitting one
-/// heavy conflict's cost bucket across the worker pool) must not leak into
-/// results: stackovf08's deep conflicts blow a bounded configuration
-/// budget, and the resulting `TimedOut` partial stats — explored, enqueued,
-/// deduped, arena cells — must be byte-identical at workers 1, 2, and 4.
+/// The per-conflict fan-out must not leak into partial results:
+/// stackovf08's deep conflicts blow a bounded configuration budget, and
+/// the resulting `TimedOut` partial stats — explored, enqueued, deduped,
+/// frontier peak, arena cells — must be byte-identical at workers 1, 2,
+/// and 4, whichever worker happens to run which conflict.
 #[test]
-fn stackovf08_intra_conflict_stealing_is_deterministic() {
+fn stackovf08_partial_stats_match_across_workers() {
     let g = load("stackovf08");
     let bounded = |workers| CexConfig {
         search: SearchConfig {
