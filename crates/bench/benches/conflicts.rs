@@ -100,8 +100,7 @@ fn baseline(cfg: MicroConfig, filter: Option<String>) {
 }
 
 /// Cancellation-poll overhead (ISSUE 3): `stride1` re-checks the cancel
-/// token, the wall clock, and the memory-governor lease on *every*
-/// configuration pop — what a naive per-node `Instant::now()`
+/// token and the wall clock on *every* configuration pop — what a naive per-node `Instant::now()`
 /// implementation pays — while `stride256` (the default) amortizes the
 /// poll across 256 pops. The node budget caps the search so both variants
 /// expand identical configurations; only the poll frequency differs.

@@ -44,8 +44,8 @@ use std::time::Duration;
 use lalrcex::api::{AnalysisRequest, Error, GrammarFormat, GrammarSource, Session};
 use lalrcex::service::{serve, ServeOptions};
 use lalrcex_core::{
-    format_conflict_stats, format_grammar_stats, format_report, CancelReason, CancelToken,
-    ConflictOutcome, Engine, ExampleKind, GrammarReport,
+    format_conflict_stats, format_grammar_stats, format_report, CancelToken, ConflictOutcome,
+    Engine, ExampleKind, GrammarReport,
 };
 use lalrcex_grammar::Grammar;
 
@@ -207,8 +207,6 @@ usage: lalrcex [cex] [OPTIONS] GRAMMAR.y
   --total-limit SECS   cumulative unifying budget (default 120)
   --workers N          worker threads for the conflict fan-out
                        (default 0 = one per CPU)
-  --max-rss-mb MB      soft limit on the searches' estimated live
-                       frontier memory (default 0 = unlimited)
   --stats              print per-conflict and grammar-wide search counters
                        (to stderr in json mode)
   --dump-states        print the full parser state machine (text mode)
@@ -228,7 +226,6 @@ struct CexOptions {
     summary: bool,
     stats: bool,
     workers: usize,
-    max_rss_mb: usize,
 }
 
 impl Default for CexOptions {
@@ -245,7 +242,6 @@ impl Default for CexOptions {
             summary: false,
             stats: false,
             workers: 0,
-            max_rss_mb: 0,
         }
     }
 }
@@ -266,7 +262,6 @@ fn parse_cex_args(args: Vec<String>) -> CexOptions {
             "--time-limit" => opts.time_limit = Duration::from_secs(p.num("--time-limit")),
             "--total-limit" => opts.total_limit = Duration::from_secs(p.num("--total-limit")),
             "--workers" => opts.workers = p.num("--workers"),
-            "--max-rss-mb" => opts.max_rss_mb = p.num("--max-rss-mb"),
             "--stats" => opts.stats = true,
             "--dump-states" => opts.dump_states = true,
             "--path" => opts.show_path = true,
@@ -291,7 +286,7 @@ fn interruptible_token() -> CancelToken {
         let cancel = cancel.clone();
         std::thread::spawn(move || loop {
             if sigint::INTERRUPTED.load(Ordering::SeqCst) {
-                cancel.cancel(CancelReason::Signal);
+                cancel.cancel();
                 return;
             }
             std::thread::sleep(Duration::from_millis(25));
@@ -312,7 +307,6 @@ fn analysis_request(
         .cumulative_limit(opts.total_limit)
         .workers(opts.workers)
         .extended(opts.extended)
-        .max_live_mb(opts.max_rss_mb)
         .cancel_token(cancel.clone())
 }
 
@@ -403,8 +397,8 @@ fn print_text_report(
 }
 
 /// The cex/batch exit code for one analyzed grammar.
-fn report_exit(hard_cancelled: bool, report: &GrammarReport) -> u8 {
-    if hard_cancelled || report.cancelled_count() > 0 {
+fn report_exit(cancelled: bool, report: &GrammarReport) -> u8 {
+    if cancelled || report.cancelled_count() > 0 {
         130
     } else if report.internal_count() > 0 {
         3
@@ -458,7 +452,7 @@ fn run_cex(args: Vec<String>) -> ExitCode {
             &opts,
         );
     }
-    ExitCode::from(report_exit(cancel.is_hard_cancelled(), &reply.report))
+    ExitCode::from(report_exit(cancel.is_cancelled(), &reply.report))
 }
 
 // ---------------------------------------------------------------------------
@@ -597,7 +591,7 @@ fn run_explain(args: Vec<String>) -> ExitCode {
     }
 
     let counts = reply.provenance.counts();
-    let mut code = report_exit(cancel.is_hard_cancelled(), &reply.report);
+    let mut code = report_exit(cancel.is_cancelled(), &reply.report);
     if code < 3 && counts.internal > 0 {
         code = 3;
     }
@@ -908,7 +902,7 @@ fn run_batch(args: Vec<String>) -> ExitCode {
                 &opts,
             );
         }
-        let code = report_exit(cancel.is_hard_cancelled(), &reply.report);
+        let code = report_exit(cancel.is_cancelled(), &reply.report);
         if code == 130 {
             // Interrupted: report what finished, skip the rest.
             summary(analyzed, failed);

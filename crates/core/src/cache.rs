@@ -12,8 +12,7 @@
 //! [`EngineCache`] is an LRU keyed by a 64-bit FNV-1a hash of the grammar
 //! text (entries also keep the text itself, so a hash collision is
 //! detected and treated as an eviction, never a wrong answer). Eviction is
-//! *byte-budget-aware*, riding the same estimated-live-bytes style of
-//! accounting as the search memory governor: every entry is charged
+//! *byte-budget-aware*: every entry is charged
 //! [`Engine::estimated_bytes`] — re-sampled on each hit, because the spine
 //! memo grows as conflicts are analyzed and the state-item graph is built
 //! on first use — and the least-recently-used

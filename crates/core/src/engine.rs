@@ -29,14 +29,14 @@ use std::time::{Duration, Instant};
 use lalrcex_grammar::{Analysis, Grammar};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, Resolution, StateId, Tables};
 
-use crate::cancel::{CancelToken, MemoryGovernor, SearchSession};
+use crate::cancel::CancelToken;
 use crate::contain::contain;
 use crate::error::EngineError;
 use crate::lssi::{self, LsNode};
 use crate::nonunifying::nonunifying_example;
 use crate::provenance::{self, GrammarProvenance};
 use crate::report::{CexConfig, ConflictOutcome, ConflictReport, ExampleKind, GrammarReport};
-use crate::search::{unifying_search_session, SearchConfig, SearchOutcome, UnifyingExample};
+use crate::search::{unifying_search_cancellable, SearchConfig, SearchOutcome, UnifyingExample};
 use crate::state_graph::{StateGraph, StateItemId};
 use crate::stats::{GrammarStats, PrecomputeTimes, SearchStats};
 
@@ -222,8 +222,7 @@ impl<'g> Engine<'g> {
     /// share), state transitions, the relation edges, the dense parse
     /// tables, the state-item graph once built, and the current spine memo
     /// and provenance. Not an allocator truth: it feeds the
-    /// [`crate::cache::EngineCache`] byte-budget eviction, the same style
-    /// of estimated live-byte accounting the search memory governor uses.
+    /// [`crate::cache::EngineCache`] byte-budget eviction.
     pub fn estimated_bytes(&self) -> usize {
         let tset_bytes = self.g.terminal_count().div_ceil(8) + 24;
         let rel = self.auto.relations();
@@ -353,21 +352,15 @@ impl<'g> Engine<'g> {
                 max_cost: 512,
                 ..SearchConfig::default()
             };
-            let cancel = CancelToken::new();
-            let governor = MemoryGovernor::unlimited();
-            let session = SearchSession {
-                cancel: &cancel,
-                governor: &governor,
-            };
             let mut metrics = crate::stats::SearchMetrics::default();
-            match unifying_search_session(
+            match unifying_search_cancellable(
                 self.g,
                 &self.auto,
                 self.graph(),
                 &conflict,
                 &spine.states,
                 &cfg,
-                &session,
+                &CancelToken::new(),
                 &mut metrics,
             ) {
                 SearchOutcome::Unifying(ex) => ResolutionProbe::Ambiguous(ex),
@@ -432,17 +425,11 @@ impl<'g> Engine<'g> {
         cfg: &CexConfig,
         deadline: Instant,
     ) -> ConflictReport {
-        let cancel = CancelToken::new();
-        let governor = MemoryGovernor::with_limit_mb(cfg.max_live_mb);
-        let session = SearchSession {
-            cancel: &cancel,
-            governor: &governor,
-        };
-        self.analyze_conflict_cancellable(conflict, cfg, deadline, &session)
+        self.analyze_conflict_cancellable(conflict, cfg, deadline, &CancelToken::new())
     }
 
     /// [`Engine::analyze_conflict_with_deadline`] under a shared
-    /// [`SearchSession`], with every phase contained at its boundary
+    /// [`CancelToken`], with every phase contained at its boundary
     /// (DESIGN.md "Failure domains & degradation ladder"):
     ///
     /// * a panic in the **spine** phase faults the whole slot (nothing
@@ -454,15 +441,15 @@ impl<'g> Engine<'g> {
     /// * the first fault wins and the slot reports
     ///   [`ConflictOutcome::Internal`] with a stable diagnostic.
     ///
-    /// A *hard* (signal) cancellation observed between phases skips the
-    /// remaining phases; a *soft* one (budget, memory) only skips the
-    /// expensive unifying search, preserving §6 graceful cutoff.
+    /// A cancellation observed between phases skips the remaining phases;
+    /// an expired `deadline` only skips the expensive unifying search,
+    /// preserving §6 graceful cutoff.
     pub fn analyze_conflict_cancellable(
         &self,
         conflict: &Conflict,
         cfg: &CexConfig,
         deadline: Instant,
-        session: &SearchSession<'_>,
+        cancel: &CancelToken,
     ) -> ConflictReport {
         let started = Instant::now();
         let mut stats = SearchStats::default();
@@ -493,11 +480,11 @@ impl<'g> Engine<'g> {
 
         let mut fault: Option<EngineError> = None;
         let remaining = deadline.saturating_duration_since(Instant::now());
-        let (kind, unifying) = if session.cancel.is_hard_cancelled() {
+        let (kind, unifying) = if cancel.is_cancelled() {
             (ExampleKind::Cancelled, None)
-        } else if remaining.is_zero() || session.cancel.is_cancelled() {
-            // Budget (or soft cancel) exhausted before this conflict's
-            // search started: skip it, keep the cheap phases (§6).
+        } else if remaining.is_zero() {
+            // Budget exhausted before this conflict's search started:
+            // skip it, keep the cheap phases (§6).
             (ExampleKind::NonunifyingSkipped, None)
         } else {
             let effective = SearchConfig {
@@ -506,14 +493,14 @@ impl<'g> Engine<'g> {
             };
             let t1 = Instant::now();
             let outcome = contain("unifying", || {
-                unifying_search_session(
+                unifying_search_cancellable(
                     self.g,
                     &self.auto,
                     self.graph(),
                     conflict,
                     &spine.states,
                     &effective,
-                    session,
+                    cancel,
                     &mut stats.search,
                 )
             });
@@ -532,7 +519,7 @@ impl<'g> Engine<'g> {
         };
 
         let t2 = Instant::now();
-        let nonunifying = if session.cancel.is_hard_cancelled() {
+        let nonunifying = if cancel.is_cancelled() {
             None
         } else {
             match contain("nonunifying", || {
@@ -577,7 +564,7 @@ impl<'g> Engine<'g> {
     }
 
     /// A stub report filling the slot of a conflict whose diagnosis never
-    /// started because the run was hard-cancelled.
+    /// started because the run was cancelled.
     fn cancelled_stub(conflict: &Conflict) -> ConflictReport {
         ConflictReport {
             conflict: *conflict,
@@ -590,7 +577,7 @@ impl<'g> Engine<'g> {
     }
 
     /// [`Engine::analyze_all_budgeted`] under an external [`CancelToken`]:
-    /// a hard (signal) cancel stops every worker at its next check and
+    /// a cancel stops every worker at its next check and
     /// stubs unstarted conflicts with [`ExampleKind::Cancelled`] reports,
     /// so the grammar report always has one entry per conflict. Per-conflict
     /// work is tagged with its conflict-slot scope for the deterministic
@@ -606,20 +593,15 @@ impl<'g> Engine<'g> {
         let n = conflicts.len();
         let deadline = started + budget;
         let workers = resolve_workers(cfg.workers, n);
-        let governor = MemoryGovernor::with_limit_mb(cfg.max_live_mb);
-        let session = SearchSession {
-            cancel,
-            governor: &governor,
-        };
 
         let mut slots: Vec<Option<ConflictReport>> = (0..n).map(|_| None).collect();
         if workers <= 1 || n <= 1 {
             for (i, c) in conflicts.iter().enumerate() {
-                if cancel.is_hard_cancelled() {
+                if cancel.is_cancelled() {
                     break;
                 }
                 slots[i] = Some(crate::faultpoint::with_scope(i as u64, || {
-                    self.analyze_conflict_cancellable(c, cfg, deadline, &session)
+                    self.analyze_conflict_cancellable(c, cfg, deadline, cancel)
                 }));
             }
         } else {
@@ -635,7 +617,7 @@ impl<'g> Engine<'g> {
                     let next = &next;
                     let conflicts = &conflicts;
                     scope.spawn(move || loop {
-                        if session.cancel.is_hard_cancelled() {
+                        if cancel.is_cancelled() {
                             break;
                         }
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -643,12 +625,7 @@ impl<'g> Engine<'g> {
                             break;
                         }
                         let report = crate::faultpoint::with_scope(i as u64, || {
-                            self.analyze_conflict_cancellable(
-                                &conflicts[i],
-                                cfg,
-                                deadline,
-                                &session,
-                            )
+                            self.analyze_conflict_cancellable(&conflicts[i], cfg, deadline, cancel)
                         });
                         if tx.send((i, report)).is_err() {
                             break;
@@ -661,7 +638,7 @@ impl<'g> Engine<'g> {
                 slots[i] = Some(report);
             }
         }
-        // Hard cancellation may leave unstarted slots: stub them so the
+        // Cancellation may leave unstarted slots: stub them so the
         // report still carries one entry per conflict.
         let reports: Vec<ConflictReport> = slots
             .into_iter()

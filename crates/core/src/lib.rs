@@ -57,7 +57,7 @@ pub mod stats;
 pub mod validate;
 
 pub use cache::{content_hash, tagged_hash, BuildError, CacheStats, CachedEngine, EngineCache};
-pub use cancel::{CancelReason, CancelToken, GovernorLease, MemoryGovernor, SearchSession};
+pub use cancel::CancelToken;
 pub use contain::contain;
 pub use engine::{hardware_workers, resolve_workers, Engine, Facts, ResolutionProbe, Spine};
 pub use error::EngineError;
@@ -72,8 +72,8 @@ pub use report::{
     ExampleKind, GrammarReport,
 };
 pub use search::{
-    conflict_on, unifying_search, unifying_search_metered, unifying_search_session, SearchConfig,
-    SearchOutcome, UnifyingExample,
+    conflict_on, unifying_search, unifying_search_cancellable, unifying_search_metered,
+    SearchConfig, SearchOutcome, UnifyingExample,
 };
 pub use state_graph::{NodeSet, StateGraph, StateItemId};
 pub use stats::{

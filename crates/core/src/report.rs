@@ -27,12 +27,6 @@ pub struct CexConfig {
     /// `0` (the default) resolves to one worker per available CPU; the
     /// effective count is clamped to the number of conflicts.
     pub workers: usize,
-    /// Soft limit, in mebibytes, on the estimated live frontier bytes
-    /// across all in-flight unifying searches (the CLI's `--max-rss-mb`).
-    /// Over the limit, searches *shed* — tighten their cost caps so their
-    /// frontiers drain into `TimedOut` — instead of growing. `0` (the
-    /// default) disables the governor.
-    pub max_live_mb: usize,
 }
 
 impl Default for CexConfig {
@@ -41,7 +35,6 @@ impl Default for CexConfig {
             search: SearchConfig::default(),
             cumulative_limit: Duration::from_secs(120),
             workers: 0,
-            max_live_mb: 0,
         }
     }
 }
@@ -59,7 +52,8 @@ pub enum ExampleKind {
     /// The cumulative budget was already spent; the unifying search was
     /// skipped entirely.
     NonunifyingSkipped,
-    /// The run was hard-cancelled (Ctrl-C) before this conflict's
+    /// The run was cancelled (Ctrl-C, serve `cancel`, or a serve peer
+    /// hang-up) before this conflict's
     /// diagnosis ran; a stub report fills its slot.
     Cancelled,
 }
@@ -165,7 +159,7 @@ impl GrammarReport {
         self.reports.iter().filter(|r| r.is_internal()).count()
     }
 
-    /// Number of conflict slots stubbed out by a hard cancellation.
+    /// Number of conflict slots stubbed out by a cancellation.
     pub fn cancelled_count(&self) -> usize {
         self.reports
             .iter()
@@ -237,8 +231,8 @@ impl<'g> Analyzer<'g> {
     }
 
     /// [`Analyzer::analyze_all`] under an external
-    /// [`CancelToken`](crate::cancel::CancelToken): a hard
-    /// (signal) cancel stops in-flight searches at their next stride poll
+    /// [`CancelToken`](crate::cancel::CancelToken): a cancel stops
+    /// in-flight searches at their next stride poll
     /// and stubs unstarted conflicts with [`ExampleKind::Cancelled`]
     /// reports, so the report still has one entry per conflict.
     pub fn analyze_all_cancellable(

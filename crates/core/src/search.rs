@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use lalrcex_grammar::{Grammar, SymbolId, SymbolKind, TerminalSet};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, StateId};
 
-use crate::cancel::{CancelToken, GovernorLease, MemoryGovernor, SearchSession};
+use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::soa::{
     itemh, mix, wpow, BucketQueue, CellArena, DerivArena, FactMap, Pool, Seq, SetInterner, Visited,
@@ -80,7 +80,11 @@ pub struct SearchConfig {
     /// Disable the shortest-path restriction on reverse transitions
     /// (the paper's `-extendedsearch` flag, §6).
     pub extended: bool,
-    /// Hard cap on explored configurations (memory guard).
+    /// Hard cap on the configurations one search stores — the one memory
+    /// bound on a search. Past it the search stops with a deterministic
+    /// [`SearchOutcome::TimedOut`]. At the default (2²¹) the stackovf08
+    /// corpus grammar peaks near 430 MB RSS with one worker; the worker
+    /// count bounds how many searches are in flight at once.
     pub max_configs: usize,
     /// Hard cap on a configuration's accumulated cost. Every search step
     /// costs at least 1, so this also bounds the depth and size of the
@@ -91,11 +95,11 @@ pub struct SearchConfig {
     /// it so their worst case is bounded without consulting the clock.
     pub max_cost: u32,
     /// How many configuration pops between cancellation polls. Each poll
-    /// is one relaxed atomic load on the shared [`CancelToken`], one
-    /// `Instant::now()` against the deadline, and one memory-governor
-    /// lease update — strided so the hot loop doesn't pay a clock syscall
-    /// per node (the `cancel_stride` bench group quantifies the overhead).
-    /// Rounded up to a power of two; `1` polls on every pop.
+    /// is one relaxed atomic load on the shared [`CancelToken`] and one
+    /// `Instant::now()` against the deadline — strided so the hot loop
+    /// doesn't pay a clock syscall per node (the `cancel_stride` bench
+    /// group quantifies the overhead). Rounded up to a power of two; `1`
+    /// polls on every pop.
     pub cancel_stride: u32,
 }
 
@@ -138,15 +142,16 @@ pub enum SearchOutcome {
     /// The configuration space was exhausted without finding one (under the
     /// shortest-path restriction unless `extended` was set).
     Exhausted,
-    /// The time or memory budget ran out.
+    /// A cutoff stopped the search: the per-conflict clock, the
+    /// [`SearchConfig::max_configs`] or [`SearchConfig::max_cost`] cap, or
+    /// a raised [`CancelToken`].
     TimedOut,
 }
 
 /// All search-owned storage: the configuration arenas plus their shared
 /// pools. Cells are only allocated at initialization and during the
 /// merge phase, so everything here grows deterministically with the
-/// insertion sequence — the governor lease derived from actual capacities
-/// is reproducible across runs and worker counts.
+/// insertion sequence.
 struct Mem {
     /// Item-sequence cons cells.
     icell: CellArena,
@@ -200,25 +205,6 @@ impl Mem {
     /// Both sequence lengths of configuration `idx`.
     fn ilen(&self, idx: usize) -> [u32; 2] {
         [self.iseq[idx][0].len(), self.iseq[idx][1].len()]
-    }
-
-    /// Estimated allocated bytes, derived from actual capacities (feeds
-    /// the memory governor's lease).
-    fn approx_bytes(&self, terminal_count: usize, visited: &Visited, queue: &BucketQueue) -> usize {
-        self.icell.capacity_bytes()
-            + self.dcell.capacity_bytes()
-            + self.kids.capacity() * 4
-            + self.nodes.capacity_bytes()
-            + self.sets.capacity_bytes(terminal_count)
-            + self.cost.capacity() * 4
-            + self.flags.capacity()
-            + self.pend.capacity() * 8
-            + self.iseq.capacity() * std::mem::size_of::<[Seq; 2]>()
-            + self.ifirst.capacity() * 8
-            + self.ihash.capacity() * 16
-            + self.dseq.capacity() * std::mem::size_of::<[Seq; 2]>()
-            + visited.capacity_bytes()
-            + queue.capacity_bytes()
     }
 }
 
@@ -312,11 +298,8 @@ struct Cand {
     dd: [DerivDesc; 2],
 }
 
-/// The search's expansion output; cleared per batch, so its transient
-/// capacity is deliberately *excluded* from the governor lease. The
-/// membership memo is excluded too: it is a cache over immutable cells,
-/// not frontier state, so the lease (and the shed point) counts only the
-/// arenas, the visited set and the queue.
+/// The search's expansion output; cleared per batch, except for the
+/// membership memo, a cache over immutable cells.
 #[derive(Default)]
 struct ExpandBuf {
     cands: Vec<Cand>,
@@ -851,20 +834,14 @@ pub fn unifying_search_metered(
     cfg: &SearchConfig,
     metrics: &mut SearchMetrics,
 ) -> SearchOutcome {
-    let cancel = CancelToken::new();
-    let governor = MemoryGovernor::unlimited();
-    let session = SearchSession {
-        cancel: &cancel,
-        governor: &governor,
-    };
-    unifying_search_session(
+    unifying_search_cancellable(
         g,
         auto,
         graph,
         conflict,
         slsp_states,
         cfg,
-        &session,
+        &CancelToken::new(),
         metrics,
     )
 }
@@ -884,32 +861,28 @@ pub fn conflict_on<'a>(
         .ok_or_else(|| EngineError::no_conflict_on(term))
 }
 
-/// [`unifying_search_metered`] under a shared [`SearchSession`]: the
-/// search polls `session.cancel` (plus its own wall-clock deadline) every
-/// [`SearchConfig::cancel_stride`] pops, reports its live frontier bytes
-/// (derived from actual arena capacities) to `session.governor`, *shedding*
-/// — tightening its cost cap to the cost of the bucket it is draining so
-/// the frontier empties — when the grammar-wide soft memory limit is
-/// exceeded.
+/// [`unifying_search_metered`] under a shared [`CancelToken`]: the search
+/// polls `cancel` (plus its own wall-clock deadline) every
+/// [`SearchConfig::cancel_stride`] pops.
 ///
-/// Cancellation and shedding both surface as [`SearchOutcome::TimedOut`]:
-/// the caller falls back to the nonunifying construction exactly as for a
-/// per-conflict time limit (§6 graceful cutoff).
+/// Cancellation surfaces as [`SearchOutcome::TimedOut`]: the caller falls
+/// back to the nonunifying construction exactly as for a per-conflict
+/// time limit (§6 graceful cutoff).
 #[allow(clippy::too_many_arguments)]
-pub fn unifying_search_session(
+pub fn unifying_search_cancellable(
     g: &Grammar,
     auto: &Automaton,
     graph: &StateGraph,
     conflict: &Conflict,
     slsp_states: &[StateId],
     cfg: &SearchConfig,
-    session: &SearchSession<'_>,
+    cancel: &CancelToken,
     metrics: &mut SearchMetrics,
 ) -> SearchOutcome {
     // Zero budget or an already-cancelled token never starts the search:
     // the `time_limit == 0` edge must degrade identically whether or not
     // the first stride poll would have been reached.
-    if cfg.time_limit.is_zero() || session.cancel.is_cancelled() {
+    if cfg.time_limit.is_zero() || cancel.is_cancelled() {
         return SearchOutcome::TimedOut;
     }
     let rr = matches!(conflict.kind, ConflictKind::ReduceReduce { .. });
@@ -931,7 +904,7 @@ pub fn unifying_search_session(
         },
     };
     let mut mem = Mem::new(g.symbol_count());
-    let outcome = search_loop(&search, &mut mem, conflict, cfg, session, metrics);
+    let outcome = search_loop(&search, &mut mem, conflict, cfg, cancel, metrics);
     metrics.arena_cells += (mem.icell.len() + mem.dcell.len()) as u64;
     outcome
 }
@@ -943,7 +916,7 @@ fn search_loop(
     mem: &mut Mem,
     conflict: &Conflict,
     cfg: &SearchConfig,
-    session: &SearchSession<'_>,
+    cancel: &CancelToken,
     metrics: &mut SearchMetrics,
 ) -> SearchOutcome {
     let g = search.g;
@@ -991,8 +964,6 @@ fn search_loop(
     // Stride mask: poll when `pops & mask == 0`. Rounded up to a power of
     // two so the check is one AND instead of a division.
     let mask = cfg.cancel_stride.max(1).next_power_of_two() - 1;
-    let mut lease = GovernorLease::new(session.governor);
-    let mut effective_max_cost = cfg.max_cost;
     let mut pops: u32 = 0;
     let mut cost_pruned = false;
     let mut batch: Vec<u32> = Vec::new();
@@ -1001,31 +972,15 @@ fn search_loop(
     let mut scratch: Vec<u32> = Vec::new();
     let mut popped: Vec<u32> = Vec::new();
 
-    while let Some(cost) = queue.pop_bucket(&mut batch) {
+    while queue.pop_bucket(&mut batch).is_some() {
         // Walk phase: canonical FIFO order over the drained bucket. Every
         // action costs at least 1, so nothing merged later this iteration
         // could have belonged to this bucket.
         for &idx in &batch {
             pops += 1;
             metrics.explored += 1;
-            if pops & mask == 0 {
-                if session.cancel.is_cancelled() || Instant::now() > deadline {
-                    return SearchOutcome::TimedOut;
-                }
-                // Report this search's frontier footprint (actual arena
-                // capacities), then shed if the grammar-wide total is over
-                // the soft limit: no deeper successors get enqueued, so
-                // the frontier drains deterministically into `TimedOut`
-                // instead of growing.
-                let est = mem.approx_bytes(g.terminal_count(), &visited, &queue);
-                lease.set(est);
-                metrics.live_bytes_peak = metrics.live_bytes_peak.max(est as u64);
-                if session.governor.over_limit() && effective_max_cost > cost {
-                    effective_max_cost = cost;
-                    cost_pruned = true;
-                    metrics.sheds += 1;
-                    session.governor.note_shed();
-                }
+            if pops & mask == 0 && (cancel.is_cancelled() || Instant::now() > deadline) {
+                return SearchOutcome::TimedOut;
             }
             #[cfg(feature = "failpoints")]
             if let Some(action) = crate::faultpoint::hit("unify.expand") {
@@ -1054,7 +1009,7 @@ fn search_loop(
         // Merge phase: canonical batch order — dedup, intern, and commit
         // accepted candidates to the arenas.
         for cand in &buf.cands {
-            if cand.cost > effective_max_cost {
+            if cand.cost > cfg.max_cost {
                 cost_pruned = true;
                 continue;
             }
@@ -1323,11 +1278,11 @@ mod tests {
         assert!(err.message.contains("precedence"));
     }
 
-    fn run_conflict_session(
+    fn run_conflict_cancellable(
         g: &Grammar,
         term: &str,
         cfg: &SearchConfig,
-        session: &SearchSession<'_>,
+        cancel: &CancelToken,
         metrics: &mut SearchMetrics,
     ) -> SearchOutcome {
         let auto = Automaton::build(g);
@@ -1340,44 +1295,18 @@ mod tests {
         let target = graph.node(c.state, c.reduce_item(g));
         let path = lssi::shortest_path(g, &auto, &graph, target, g.tindex(c.terminal)).unwrap();
         let states = lssi::states_of_path(&graph, &path);
-        unifying_search_session(g, &auto, &graph, c, &states, cfg, session, metrics)
+        unifying_search_cancellable(g, &auto, &graph, c, &states, cfg, cancel, metrics)
     }
 
     #[test]
     fn precancelled_token_stops_before_searching() {
         let g = figure1();
         let cancel = CancelToken::new();
-        cancel.cancel(crate::cancel::CancelReason::Signal);
-        let governor = MemoryGovernor::unlimited();
-        let session = SearchSession {
-            cancel: &cancel,
-            governor: &governor,
-        };
+        cancel.cancel();
         let mut m = SearchMetrics::default();
-        let out = run_conflict_session(&g, "else", &SearchConfig::default(), &session, &mut m);
+        let out = run_conflict_cancellable(&g, "else", &SearchConfig::default(), &cancel, &mut m);
         assert!(matches!(out, SearchOutcome::TimedOut), "{out:?}");
         assert_eq!(m.explored, 0, "cancelled before the first pop");
-    }
-
-    #[test]
-    fn over_limit_governor_sheds_and_drains() {
-        let g = figure1();
-        let cancel = CancelToken::new();
-        let governor = MemoryGovernor::with_limit_bytes(1);
-        let session = SearchSession {
-            cancel: &cancel,
-            governor: &governor,
-        };
-        let cfg = SearchConfig {
-            cancel_stride: 1, // poll every pop so the shed fires immediately
-            ..SearchConfig::default()
-        };
-        let mut m = SearchMetrics::default();
-        let out = run_conflict_session(&g, "digit", &cfg, &session, &mut m);
-        assert!(matches!(out, SearchOutcome::TimedOut), "{out:?}");
-        assert!(m.sheds >= 1, "search shed at least once");
-        assert!(governor.sheds() >= 1, "shed recorded grammar-wide");
-        assert_eq!(governor.live_bytes(), 0, "lease released on return");
     }
 
     #[test]
@@ -1385,20 +1314,15 @@ mod tests {
         // The stride only changes *when* the clock is consulted, never the
         // order of expansion: counters are identical for stride 1 and 256.
         let g = figure1();
-        let governor = MemoryGovernor::unlimited();
         let mut counters = Vec::new();
         for stride in [1u32, 256] {
             let cancel = CancelToken::new();
-            let session = SearchSession {
-                cancel: &cancel,
-                governor: &governor,
-            };
             let cfg = SearchConfig {
                 cancel_stride: stride,
                 ..SearchConfig::default()
             };
             let mut m = SearchMetrics::default();
-            let out = run_conflict_session(&g, "digit", &cfg, &session, &mut m);
+            let out = run_conflict_cancellable(&g, "digit", &cfg, &cancel, &mut m);
             assert!(matches!(out, SearchOutcome::Unifying(_)), "{out:?}");
             counters.push((m.explored, m.enqueued, m.deduped, m.frontier_peak));
         }

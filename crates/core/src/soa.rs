@@ -37,9 +37,8 @@
 //!   arena by the caller's closure.
 //!
 //! Everything here grows deterministically as a function of the insertion
-//! sequence, which is what lets the memory governor derive its lease from
-//! actual capacities (not a per-config constant) while keeping the shed
-//! point reproducible across runs and worker counts.
+//! sequence, so a search's footprint at a given configuration count is the
+//! same on every run and at every worker count.
 
 use std::collections::HashMap;
 
@@ -47,8 +46,7 @@ use lalrcex_grammar::{Derivation, SymbolId, TerminalSet};
 
 /// Deterministic capacity growth: double from a fixed floor until `needed`
 /// fits. `Vec`'s own amortized growth is also deterministic in practice,
-/// but routing the big pools through one explicit policy makes the
-/// governor's capacity-derived accounting auditable.
+/// but routing the big pools through one explicit policy pins it.
 fn grow_to<T>(v: &mut Vec<T>, needed: usize) {
     if needed <= v.capacity() {
         return;
@@ -78,11 +76,6 @@ impl Pool {
         self.data.len()
     }
 
-    /// Allocated capacity in words (feeds the governor's lease).
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
     /// Appends a slice; returns the offset of its first word.
     pub fn extend(&mut self, words: &[u32]) -> usize {
         let off = self.data.len();
@@ -103,8 +96,8 @@ pub const NIL: u32 = u32::MAX;
 /// An append-only arena of immutable cons cells `(val, next)`.
 ///
 /// Cells are only created at initialization and during the sequential
-/// merge phase, so the arena's contents — and therefore the governor's
-/// capacity-derived lease — are identical at any worker count.
+/// merge phase, so the arena's contents are identical at any worker
+/// count.
 #[derive(Default)]
 pub struct CellArena {
     val: Vec<u32>,
@@ -120,11 +113,6 @@ impl CellArena {
     /// Cells allocated.
     pub fn len(&self) -> usize {
         self.val.len()
-    }
-
-    /// Allocated bytes across both columns.
-    pub fn capacity_bytes(&self) -> usize {
-        self.val.capacity() * 4 + self.next.capacity() * 4
     }
 
     /// Allocates a new cell; `next` is an existing cell id or [`NIL`].
@@ -365,9 +353,7 @@ fn list_contains_memo(ar: &CellArena, head: u32, v: u32, memo: &mut FactMap) -> 
 /// An insert-only open-addressing map from 64-bit keys to booleans,
 /// recording immutable facts (memoized cons-list membership). Entries are
 /// never deleted or changed, so probing needs no tombstones and a repeated
-/// insert is a no-op. The search keeps one per conflict and leaves it out
-/// of the memory governor's lease, which counts the arenas, the visited
-/// set and the queue only.
+/// insert is a no-op. The search keeps one per conflict.
 #[derive(Default)]
 pub struct FactMap {
     keys: Vec<u64>,
@@ -538,11 +524,6 @@ impl DerivArena {
         self.sym.len() <= 1 + self.symbols
     }
 
-    /// Allocated bytes across the node columns.
-    pub fn capacity_bytes(&self) -> usize {
-        self.sym.capacity() * 4 + self.kids_off.capacity() * 8 + self.kids_len.capacity() * 4
-    }
-
     /// Is `id` an expanded (non-leaf, non-dot) node?
     fn is_node(&self, id: u32) -> bool {
         id as usize > self.symbols
@@ -655,12 +636,6 @@ impl SetInterner {
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
     }
-
-    /// Rough allocated bytes (sets are stored twice: map key + table).
-    pub fn capacity_bytes(&self, terminal_count: usize) -> usize {
-        let set_bytes = terminal_count.div_ceil(64).max(1) * 8 + 16;
-        self.sets.capacity() * set_bytes + self.map.capacity() * (set_bytes + 16)
-    }
 }
 
 /// Ring size of the bucket queue; must exceed the maximum single-action
@@ -704,11 +679,6 @@ impl BucketQueue {
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    /// Allocated bytes across the ring's buckets.
-    pub fn capacity_bytes(&self) -> usize {
-        self.buckets.iter().map(|b| b.capacity() * 4).sum()
     }
 
     /// Enqueues `idx` at `cost`. The cost must lie in the ring window
@@ -790,11 +760,6 @@ impl Visited {
         self.len == 0
     }
 
-    /// Allocated bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.hashes.capacity() * 8 + self.idxs.capacity() * 4
-    }
-
     /// Inserts `(hash, idx)` unless an equal entry exists; returns `true`
     /// if inserted. `eq(other)` must answer whether the candidate equals
     /// the already-stored configuration `other`.
@@ -868,7 +833,7 @@ mod tests {
         assert_eq!(p.slice(a, 3), &[1, 2, 3]);
         assert_eq!(p.slice(b, 2), &[4, 5]);
         assert_eq!(p.len(), 5);
-        assert!(p.capacity() >= 64, "deterministic floor");
+        assert!(p.data.capacity() >= 64, "deterministic floor");
     }
 
     fn items(ar: &CellArena, s: Seq) -> Vec<u32> {

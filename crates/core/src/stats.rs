@@ -37,15 +37,6 @@ pub struct SearchMetrics {
     /// High-water mark of the frontier (pending arena records), sampled
     /// after each cost-bucket merge.
     pub frontier_peak: u64,
-    /// High-water mark of this search's estimated live frontier bytes as
-    /// reported to the [`crate::MemoryGovernor`]. Derived from actual
-    /// arena/table capacities and sampled on the cancel stride — an
-    /// estimate, but a deterministic one.
-    pub live_bytes_peak: u64,
-    /// Times this search *shed* — tightened its cost cap because the
-    /// grammar-wide soft memory limit was exceeded. Depends on the shared
-    /// governor state, so it is excluded from the determinism guarantee.
-    pub sheds: u64,
     /// Total `u32` cells appended to the item-sequence and derivation-list
     /// pools — the arena footprint behind the record counts. Deterministic.
     pub arena_cells: u64,
@@ -59,8 +50,6 @@ impl SearchMetrics {
         self.enqueued += other.enqueued;
         self.deduped += other.deduped;
         self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
-        self.live_bytes_peak = self.live_bytes_peak.max(other.live_bytes_peak);
-        self.sheds += other.sheds;
         self.arena_cells += other.arena_cells;
     }
 }
@@ -216,7 +205,6 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
          (lr0 {:.1}ms, lookaheads {:.1}ms, tables {:.1}ms, state graph {:.1}ms)\n\
          \u{20} spine memo: {} hits / {} misses ({} LSSI nodes expanded)\n\
          \u{20} unifying search: {} explored, {} enqueued, {} deduped, frontier peak {}, {} arena cells\n\
-         \u{20} memory: live-bytes peak {}, {} sheds\n\
          \u{20} supervision: {} slot retries / {} recovered\n\
          \u{20} engine cache: {} hits / {} misses / {} evictions\n\
          \u{20} provenance: {} true-ambiguity / {} merge-artifact / {} precedence-resolved / {} internal (lr1 states {}, {:.1}ms)\n\
@@ -236,8 +224,6 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
         stats.search.deduped,
         stats.search.frontier_peak,
         stats.search.arena_cells,
-        stats.search.live_bytes_peak,
-        stats.search.sheds,
         stats.slot_retries,
         stats.slots_recovered,
         stats.cache_hits,
@@ -265,8 +251,6 @@ mod tests {
             enqueued: 2,
             deduped: 3,
             frontier_peak: 10,
-            live_bytes_peak: 100,
-            sheds: 1,
             arena_cells: 7,
         };
         let b = SearchMetrics {
@@ -274,8 +258,6 @@ mod tests {
             enqueued: 20,
             deduped: 30,
             frontier_peak: 4,
-            live_bytes_peak: 400,
-            sheds: 2,
             arena_cells: 70,
         };
         a.merge(&b);
@@ -283,8 +265,6 @@ mod tests {
         assert_eq!(a.enqueued, 22);
         assert_eq!(a.deduped, 33);
         assert_eq!(a.frontier_peak, 10);
-        assert_eq!(a.live_bytes_peak, 400);
-        assert_eq!(a.sheds, 3);
         assert_eq!(a.arena_cells, 77);
     }
 

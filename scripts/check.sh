@@ -17,6 +17,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy --workspace --features failpoints -D warnings"
+cargo clippy --workspace --all-targets --features failpoints -- -D warnings
+
 if [[ "$quick" -eq 0 ]]; then
   echo "==> tier-1: cargo build --release"
   cargo build --release

@@ -271,12 +271,6 @@ impl AnalysisRequest {
         self
     }
 
-    /// Soft limit on estimated live search memory, in MiB (`0` = off).
-    pub fn max_live_mb(mut self, mb: usize) -> Self {
-        self.cfg.max_live_mb = mb;
-        self
-    }
-
     /// An external cancellation token (e.g. the serve protocol's
     /// per-request token, or a Ctrl-C handler's).
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
@@ -677,20 +671,15 @@ impl Session {
 /// `Internal` slot of `report` once, in slot order, under the slot's
 /// original fault-injection scope.
 fn retry_slots(cached: &CachedEngine, report: &mut GrammarReport, req: &AnalysisRequest) -> u64 {
-    use lalrcex_core::{ConflictOutcome, MemoryGovernor, SearchSession};
+    use lalrcex_core::ConflictOutcome;
     let engine = cached.engine();
     let conflicts = engine.tables().conflicts().to_vec();
     let fallback = CancelToken::new();
     let cancel = req.cancel.as_ref().unwrap_or(&fallback);
-    let governor = MemoryGovernor::with_limit_mb(req.cfg.max_live_mb);
     // Retries are one-at-a-time cleanup work, in slot order on this thread.
-    let session = SearchSession {
-        cancel,
-        governor: &governor,
-    };
     let mut retried = 0;
     for (i, slot) in report.reports.iter_mut().enumerate() {
-        if !matches!(slot.outcome, ConflictOutcome::Internal(_)) || cancel.is_hard_cancelled() {
+        if !matches!(slot.outcome, ConflictOutcome::Internal(_)) || cancel.is_cancelled() {
             continue;
         }
         // One per-slot search budget, further clipped by any request
@@ -706,7 +695,7 @@ fn retry_slots(cached: &CachedEngine, report: &mut GrammarReport, req: &Analysis
                 &conflicts[i],
                 &req.cfg,
                 Instant::now() + budget,
-                &session,
+                cancel,
             )
         });
         retried += 1;

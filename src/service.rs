@@ -10,7 +10,7 @@
 //! ```text
 //! {"op":"analyze","id":"r1","grammar":"%% ...","file":"g.y",
 //!  "format":"auto","time_limit_ms":5000,"total_limit_ms":120000,
-//!  "workers":0,"extended":false,"max_live_mb":0,"deadline_ms":0}
+//!  "workers":0,"extended":false,"deadline_ms":0}
 //! {"op":"explain","id":"r2","grammar":"%% ...","file":"g.y"}
 //! {"op":"lint","id":"r3","grammar":"%% ...","file":"g.y"}
 //! {"op":"cancel","id":"r4","target":"r1"}
@@ -90,10 +90,10 @@
 //! (on top of the engine's own per-phase containment): a faulted request
 //! answers with a structured `internal` error and the loop keeps serving.
 //! Malformed and oversized request lines likewise answer with structured
-//! errors. A request hard-cancelled via `cancel` answers with
+//! errors. A request cancelled via `cancel` answers with
 //! `"cancelled":true` and stub conflict entries, mirroring Ctrl-C in the
 //! CLI. A failed *response* write means the peer hung up: the loop
-//! hard-cancels everything in flight, drains, and returns with
+//! cancels everything in flight, drains, and returns with
 //! [`ServeSummary::hangup`] set rather than burning CPU for a dead
 //! client.
 //!
@@ -108,7 +108,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use lalrcex_core::{contain, CancelReason, CancelToken, PrecomputeTimes};
+use lalrcex_core::{contain, CancelToken, PrecomputeTimes};
 use lalrcex_lint::{Diagnostic, Severity};
 
 use crate::api::json::{self, obj, Json};
@@ -210,7 +210,7 @@ impl<W: Write> Shared<W> {
 
     /// Writes one response line (serialize + newline + flush) under the
     /// writer lock. A failed write means the peer hung up: flag the loop
-    /// to stop admitting and hard-cancel everything in flight, so the
+    /// to stop admitting and cancel everything in flight, so the
     /// drain is prompt instead of finishing analyses nobody will read.
     fn respond(&self, response: Json, ok: bool) {
         if ok {
@@ -226,7 +226,7 @@ impl<W: Write> Shared<W> {
         };
         if io.is_err() && !self.peer_gone.swap(true, Ordering::SeqCst) {
             for token in self.lock_inflight().values() {
-                token.cancel(CancelReason::Signal);
+                token.cancel();
             }
         }
     }
@@ -434,8 +434,7 @@ fn analysis_request(
         .time_limit(ms("time_limit_ms", 5_000))
         .cumulative_limit(ms("total_limit_ms", 120_000))
         .workers(workers)
-        .extended(req.get("extended").and_then(Json::as_bool).unwrap_or(false))
-        .max_live_mb(req.get("max_live_mb").and_then(Json::as_u64).unwrap_or(0) as usize);
+        .extended(req.get("extended").and_then(Json::as_bool).unwrap_or(false));
     if let Some(d) = deadline {
         request = request.deadline(d);
     }
@@ -489,7 +488,7 @@ fn handle_analyze<W: Write>(
     // left poisoned state in the cache, so evict the grammar's entry
     // before the one supervised re-run — a possibly poisoned engine is
     // never re-served.
-    if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) && !cancel.is_hard_cancelled() {
+    if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) && !cancel.is_cancelled() {
         shared.session.evict(request.source());
         shared
             .counters
@@ -505,7 +504,7 @@ fn handle_analyze<W: Write>(
             // Slot-level supervision: re-run each contained `Internal`
             // conflict slot once; transient faults recover in place.
             let mut retried_slots = 0;
-            if reply.report.internal_count() > 0 && !cancel.is_hard_cancelled() {
+            if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
                 retried_slots = shared.session.retry_internal_slots(&mut reply, &request);
                 shared
                     .counters
@@ -514,7 +513,7 @@ fn handle_analyze<W: Write>(
             }
             let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
             let expired = note_expiry(shared, deadline);
-            let cancelled = cancel.is_hard_cancelled() || reply.report.cancelled_count() > 0;
+            let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
             let response = envelope(Some(id), true)
                 .push("op", Json::str("analyze"))
                 .push(
@@ -578,7 +577,7 @@ fn handle_explain<W: Write>(
     // Whole-request supervision also covers a faulted provenance build:
     // provenance errors are never memoized, and evicting the entry
     // guarantees the retry rebuilds every table from scratch.
-    if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) && !cancel.is_hard_cancelled() {
+    if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) && !cancel.is_cancelled() {
         shared.session.evict(request.source());
         shared
             .counters
@@ -592,7 +591,7 @@ fn handle_explain<W: Write>(
     match outcome {
         Ok(Ok(mut reply)) => {
             let mut retried_slots = 0;
-            if reply.report.internal_count() > 0 && !cancel.is_hard_cancelled() {
+            if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
                 retried_slots = shared
                     .session
                     .retry_internal_explain_slots(&mut reply, &request);
@@ -603,7 +602,7 @@ fn handle_explain<W: Write>(
             }
             let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
             let expired = note_expiry(shared, deadline);
-            let cancelled = cancel.is_hard_cancelled() || reply.report.cancelled_count() > 0;
+            let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
             let counts = reply.provenance.counts();
             let response = envelope(Some(id), true)
                 .push("op", Json::str("explain"))
@@ -847,10 +846,10 @@ fn handle_cancel<W: Write>(shared: &Shared<W>, id: &str, req: &Json) {
     let token = shared.lock_inflight().get(target).cloned();
     let found = match token {
         Some(t) => {
-            // Hard cancel, like the CLI's Ctrl-C: in-flight phases stop at
+            // Same cancel as the CLI's Ctrl-C: in-flight phases stop at
             // their next poll, unstarted conflicts get stub entries, and
             // the target's response reports `cancelled:true`.
-            t.cancel(CancelReason::Signal);
+            t.cancel();
             true
         }
         None => false,

@@ -56,7 +56,6 @@ fn deterministic(workers: usize) -> CexConfig {
         },
         cumulative_limit: Duration::from_secs(3600),
         workers,
-        ..CexConfig::default()
     }
 }
 
@@ -194,100 +193,6 @@ fn worker_pool_survives_a_panic_storm() {
     let _guard = install(FaultPlan::new());
     let after = engine.analyze_all(&deterministic(1));
     assert_eq!(formatted(&g, &after), formatted(&g, &clean));
-}
-
-/// The memory governor's shed point under a fixed `--max-rss-mb` budget.
-/// The lease is recomputed on the cancel stride from *actual* arena and
-/// table capacities — a pure function of the search's insertion sequence —
-/// so the same heavy conflict must shed at exactly the same explored count
-/// on every run. A lone search owns its governor, so every counter,
-/// `sheds` included, is deterministic here.
-#[test]
-fn governor_shed_point_is_deterministic() {
-    use lalrcex::core::{
-        unifying_search_session, CancelToken, MemoryGovernor, SearchMetrics, SearchOutcome,
-        SearchSession,
-    };
-
-    let _guard = install(FaultPlan::new());
-    let g = load("stackovf08");
-    let engine = Engine::new(&g);
-    let cfg = SearchConfig {
-        time_limit: Duration::from_secs(3600),
-        max_configs: 20_000,
-        cancel_stride: 64,
-        ..SearchConfig::default()
-    };
-
-    // Pick the heaviest conflict: the one that explores the most under an
-    // ungoverned bounded run (a deep stackovf08 search).
-    let mut heavy = (0usize, 0u64);
-    let mut ungoverned = Vec::new();
-    for (i, c) in engine.tables().conflicts().iter().enumerate() {
-        let (spine, _) = engine.spine(c);
-        let cancel = CancelToken::new();
-        let governor = MemoryGovernor::unlimited();
-        let session = SearchSession {
-            cancel: &cancel,
-            governor: &governor,
-        };
-        let mut m = SearchMetrics::default();
-        unifying_search_session(
-            &g,
-            engine.automaton(),
-            engine.graph(),
-            c,
-            &spine.states,
-            &cfg,
-            &session,
-            &mut m,
-        );
-        if m.explored > heavy.1 {
-            heavy = (i, m.explored);
-        }
-        ungoverned.push(m.explored);
-    }
-    let conflict = &engine.tables().conflicts()[heavy.0];
-    let (spine, _) = engine.spine(conflict);
-    assert!(heavy.1 > 15_000, "stackovf08 has a deep conflict");
-
-    // Fixed 512 KiB limit: small enough that the deep frontier crosses it
-    // mid-run, large enough that the search gets going first.
-    let mut baseline: Option<(std::mem::Discriminant<SearchOutcome>, SearchMetrics)> = None;
-    for repeat in 0..2 {
-        let cancel = CancelToken::new();
-        let governor = MemoryGovernor::with_limit_bytes(512 * 1024);
-        let session = SearchSession {
-            cancel: &cancel,
-            governor: &governor,
-        };
-        let mut m = SearchMetrics::default();
-        let out = unifying_search_session(
-            &g,
-            engine.automaton(),
-            engine.graph(),
-            conflict,
-            &spine.states,
-            &cfg,
-            &session,
-            &mut m,
-        );
-        assert!(
-            matches!(out, SearchOutcome::TimedOut),
-            "governed search drains into TimedOut, got {out:?}"
-        );
-        assert!(m.sheds >= 1, "the 512 KiB limit must actually bite");
-        assert!(
-            m.explored < ungoverned[heavy.0],
-            "shedding cut the search short"
-        );
-        assert_eq!(governor.live_bytes(), 0, "lease released on return");
-        let key = (std::mem::discriminant(&out), m);
-        match &baseline {
-            None => baseline = Some(key),
-            Some(b) => assert_eq!(*b, key, "outcome and metrics must match at repeat={repeat}"),
-        }
-    }
 }
 
 /// The lint masking probe contains its own faults: a panic inside

@@ -27,7 +27,6 @@ fn generous(workers: usize) -> CexConfig {
         },
         cumulative_limit: Duration::from_secs(600),
         workers,
-        ..CexConfig::default()
     }
 }
 
@@ -120,7 +119,6 @@ fn partial_budget_never_loses_nonunifying() {
         },
         cumulative_limit: Duration::from_millis(100),
         workers: 2,
-        ..CexConfig::default()
     };
     let report = run(&g, &cfg);
     // Report order must match the conflict table even when workers race.
@@ -155,7 +153,6 @@ fn stackovf08_partial_stats_match_across_workers() {
         },
         cumulative_limit: Duration::from_secs(3600),
         workers,
-        ..CexConfig::default()
     };
     let one = run(&g, &bounded(1));
     let two = run(&g, &bounded(2));
@@ -213,8 +210,8 @@ fn equal_cost_frontiers_pin_the_reported_example() {
     );
 }
 
-/// `cancel_stride` sets how often the hot loop polls the cancel token,
-/// deadline, and governor — cadence only. Any stride must produce
+/// `cancel_stride` sets how often the hot loop polls the cancel token and
+/// the deadline — cadence only. Any stride must produce
 /// byte-identical reports, and a pre-cancelled token must stop every
 /// search before it explores a single configuration.
 #[test]
@@ -228,7 +225,6 @@ fn cancel_stride_is_cadence_not_semantics() {
         },
         cumulative_limit: Duration::from_secs(600),
         workers: 2,
-        ..CexConfig::default()
     };
     let tight = run(&g, &strided(1));
     let default = run(&g, &strided(256));
@@ -239,7 +235,7 @@ fn cancel_stride_is_cadence_not_semantics() {
     // A token cancelled before the run starts is seen no later than the
     // first stride poll: nothing is explored, every slot degrades.
     let cancel = lalrcex::core::CancelToken::new();
-    cancel.cancel(lalrcex::core::CancelReason::Signal);
+    cancel.cancel();
     let report = Analyzer::new(&g).analyze_all_cancellable(&strided(1), &cancel);
     assert_eq!(report.stats.search.explored, 0, "no work after cancel");
     for r in &report.reports {

@@ -245,6 +245,14 @@ fn warm_cache_reports_are_byte_identical_across_worker_counts() {
     h.wait_responses(1);
     h.send(&analyze_line("warm", &text, r#","workers":4"#));
     h.wait_responses(2);
+    // A version-1 client may still send the retired memory-limit member;
+    // like any unknown member it is ignored.
+    h.send(&analyze_line(
+        "legacy",
+        &text,
+        r#","workers":4,"max_live_mb":1"#,
+    ));
+    h.wait_responses(3);
     h.send(r#"{"op":"stats","id":"s"}"#);
     h.send(r#"{"op":"shutdown","id":"z"}"#);
     let (rs, _) = h.finish();
@@ -263,8 +271,16 @@ fn warm_cache_reports_are_byte_identical_across_worker_counts() {
         report(warm),
         "cold and warm reports must be byte-identical"
     );
+    let legacy = by_id(&rs, "legacy");
+    assert_eq!(legacy.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(legacy.get("cache").and_then(Json::as_str), Some("hit"));
+    assert_eq!(
+        report(cold),
+        report(legacy),
+        "an ignored retired member must not change the report"
+    );
     let cache = by_id(&rs, "s").get("cache").unwrap();
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
+    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
 }
 
