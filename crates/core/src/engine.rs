@@ -219,9 +219,9 @@ impl<'g> Engine<'g> {
     /// A rough estimate of the resident bytes this engine accounts for —
     /// the grammar and its analyses, automaton items, lookahead sets (one
     /// per kernel item and one `Follow` row per goto, which closure items
-    /// share), state transitions, the relation edges, the dense parse
-    /// tables, the state-item graph once built, and the current spine memo
-    /// and provenance. Not an allocator truth: it feeds the
+    /// share), state transitions, the relation edges, the sparse parse
+    /// table rows, the state-item graph once built, and the current spine
+    /// memo and provenance. Not an allocator truth: it feeds the
     /// [`crate::cache::EngineCache`] byte-budget eviction.
     pub fn estimated_bytes(&self) -> usize {
         let tset_bytes = self.g.terminal_count().div_ceil(8) + 24;
@@ -828,9 +828,9 @@ mod tests {
     }
 
     #[test]
-    fn estimated_bytes_cover_the_dense_tables() {
+    fn estimated_bytes_cover_the_sparse_tables() {
         // A chain of 100 nonterminals, each with its own terminal: about
-        // 300 states × 100 terminals, so the dense action table dominates.
+        // 300 states × 100 terminals, of which each state uses a few.
         let mut text = String::from("%%\ns : p0 ;\n");
         for i in 0..100 {
             text.push_str(&format!("p{i} : 't{i}' | 'a' p{} ;\n", i + 1));
@@ -838,13 +838,25 @@ mod tests {
         text.push_str("p100 : 'z' ;\n");
         let g = Grammar::parse(&text).unwrap();
         let engine = Engine::new(&g);
-        let dense = engine.automaton().state_count()
-            * (g.terminal_count() * std::mem::size_of::<lalrcex_lr::Action>()
-                + g.nonterminal_count() * std::mem::size_of::<Option<StateId>>());
-        assert!(
-            engine.estimated_bytes() >= dense,
-            "{} < {dense}",
-            engine.estimated_bytes()
+        let tables = engine.tables();
+        assert!(tables.conflicts().is_empty() && tables.resolutions().is_empty());
+        assert!(engine.estimated_bytes() >= tables.estimated_bytes());
+        let (mut actions, mut gotos, mut states) = (0, 0, 0);
+        for s in engine.automaton().state_ids() {
+            states += 1;
+            actions += (0..g.terminal_count())
+                .filter(|&t| tables.action(&g, s, g.terminal(t)) != lalrcex_lr::Action::Error)
+                .count();
+            gotos += (0..g.nonterminal_count())
+                .filter(|&n| tables.goto(&g, s, g.nonterminal(n)).is_some())
+                .count();
+        }
+        let offsets = 2 * (states + 1) * std::mem::size_of::<u32>();
+        assert_eq!(
+            tables.estimated_bytes(),
+            actions * std::mem::size_of::<(u32, lalrcex_lr::Action)>()
+                + gotos * std::mem::size_of::<(u32, StateId)>()
+                + offsets
         );
     }
 

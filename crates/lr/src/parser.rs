@@ -8,7 +8,7 @@
 
 use lalrcex_grammar::{Derivation, Grammar, SymbolId, SymbolKind};
 
-use crate::automaton::{Automaton, StateId};
+use crate::automaton::StateId;
 use crate::table::{Action, Tables};
 
 /// A syntax error from [`parse`].
@@ -70,16 +70,11 @@ impl std::error::Error for ParseError {}
 /// let auto = Automaton::build(&g);
 /// let tables = auto.tables(&g);
 /// let item = g.symbol_named("ITEM").unwrap();
-/// let tree = parser::parse(&g, &auto, &tables, &[item, item, item])?;
+/// let tree = parser::parse(&g, &tables, &[item, item, item])?;
 /// assert_eq!(tree.leaves().len(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn parse(
-    g: &Grammar,
-    _auto: &Automaton,
-    tables: &Tables,
-    tokens: &[SymbolId],
-) -> Result<Derivation, ParseError> {
+pub fn parse(g: &Grammar, tables: &Tables, tokens: &[SymbolId]) -> Result<Derivation, ParseError> {
     for &t in tokens {
         if g.kind(t) != SymbolKind::Terminal {
             return Err(ParseError::NotATerminal(t));
@@ -133,11 +128,10 @@ mod tests {
     use crate::automaton::Automaton;
     use lalrcex_grammar::Grammar;
 
-    fn setup(src: &str) -> (Grammar, Automaton, Tables) {
+    fn setup(src: &str) -> (Grammar, Tables) {
         let g = Grammar::parse(src).unwrap();
-        let auto = Automaton::build(&g);
-        let tables = auto.tables(&g);
-        (g, auto, tables)
+        let tables = Automaton::build(&g).tables(&g);
+        (g, tables)
     }
 
     fn toks(g: &Grammar, names: &[&str]) -> Vec<SymbolId> {
@@ -146,21 +140,21 @@ mod tests {
 
     #[test]
     fn parses_left_recursive_list() {
-        let (g, auto, t) = setup("%% list : list ITEM | ITEM ;");
-        let tree = parse(&g, &auto, &t, &toks(&g, &["ITEM", "ITEM"])).unwrap();
+        let (g, t) = setup("%% list : list ITEM | ITEM ;");
+        let tree = parse(&g, &t, &toks(&g, &["ITEM", "ITEM"])).unwrap();
         assert_eq!(tree.symbol(), g.symbol_named("list"));
         assert_eq!(tree.leaves().len(), 2);
     }
 
     #[test]
     fn parses_expressions_with_precedence() {
-        let (g, auto, t) = setup(
+        let (g, t) = setup(
             "%left '+'
              %left '*'
              %% e : e '+' e | e '*' e | N ;",
         );
         // N + N * N parses as N + (N * N) because * binds tighter.
-        let tree = parse(&g, &auto, &t, &toks(&g, &["N", "+", "N", "*", "N"])).unwrap();
+        let tree = parse(&g, &t, &toks(&g, &["N", "+", "N", "*", "N"])).unwrap();
         let Derivation::Node(_, children) = &tree else {
             panic!("root must be a node");
         };
@@ -171,9 +165,9 @@ mod tests {
 
     #[test]
     fn left_assoc_groups_left() {
-        let (g, auto, t) = setup("%left '-' %% e : e '-' e | N ;");
+        let (g, t) = setup("%left '-' %% e : e '-' e | N ;");
         // N - N - N must parse as (N - N) - N.
-        let tree = parse(&g, &auto, &t, &toks(&g, &["N", "-", "N", "-", "N"])).unwrap();
+        let tree = parse(&g, &t, &toks(&g, &["N", "-", "N", "-", "N"])).unwrap();
         let Derivation::Node(_, children) = &tree else {
             panic!()
         };
@@ -182,13 +176,13 @@ mod tests {
 
     #[test]
     fn dangling_else_default_binds_tight() {
-        let (g, auto, t) = setup("%% s : 'if' E 'then' s 'else' s | 'if' E 'then' s | X ; E : Y ;");
+        let (g, t) = setup("%% s : 'if' E 'then' s 'else' s | 'if' E 'then' s | X ; E : Y ;");
         // Default (shift) attaches else to the inner if.
         let input = toks(
             &g,
             &["if", "Y", "then", "if", "Y", "then", "X", "else", "X"],
         );
-        let tree = parse(&g, &auto, &t, &input).unwrap();
+        let tree = parse(&g, &t, &input).unwrap();
         let Derivation::Node(_, children) = &tree else {
             panic!()
         };
@@ -197,27 +191,27 @@ mod tests {
 
     #[test]
     fn syntax_error_reports_position() {
-        let (g, auto, t) = setup("%% s : A B ;");
-        let err = parse(&g, &auto, &t, &toks(&g, &["A", "A"])).unwrap_err();
+        let (g, t) = setup("%% s : A B ;");
+        let err = parse(&g, &t, &toks(&g, &["A", "A"])).unwrap_err();
         assert!(matches!(err, ParseError::UnexpectedToken { pos: 1, .. }));
-        let err2 = parse(&g, &auto, &t, &toks(&g, &["A"])).unwrap_err();
+        let err2 = parse(&g, &t, &toks(&g, &["A"])).unwrap_err();
         assert!(matches!(err2, ParseError::UnexpectedEof { .. }));
     }
 
     #[test]
     fn rejects_nonterminal_input() {
-        let (g, auto, t) = setup("%% s : A ;");
+        let (g, t) = setup("%% s : A ;");
         let s = g.symbol_named("s").unwrap();
         assert!(matches!(
-            parse(&g, &auto, &t, &[s]),
+            parse(&g, &t, &[s]),
             Err(ParseError::NotATerminal(_))
         ));
     }
 
     #[test]
     fn empty_input_for_nullable_grammar() {
-        let (g, auto, t) = setup("%% s : A s | ;");
-        let tree = parse(&g, &auto, &t, &[]).unwrap();
+        let (g, t) = setup("%% s : A s | ;");
+        let tree = parse(&g, &t, &[]).unwrap();
         assert!(tree.leaves().is_empty());
     }
 }

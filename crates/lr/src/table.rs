@@ -1,4 +1,4 @@
-//! Action/goto tables with yacc-style precedence resolution.
+//! Sparse action/goto tables with yacc-style precedence resolution.
 
 use lalrcex_grammar::{Assoc, Grammar, ProdId, SymbolId, SymbolKind};
 
@@ -39,41 +39,55 @@ pub struct Resolution {
 /// reduce; the earlier production beats the later one) so the deterministic
 /// parser always runs, but each one is recorded in [`Tables::conflicts`] —
 /// the work list of the counterexample engine.
+///
+/// The tables are sparse: each state owns one row of its non-`Error`
+/// actions, sorted by dense terminal index, and one row of its gotos,
+/// sorted by dense nonterminal index. Lookups binary-search the row.
 pub struct Tables {
-    nterm: usize,
-    nnont: usize,
-    action: Vec<Action>,
-    goto_: Vec<Option<StateId>>,
+    /// `actions[action_start[s]..action_start[s + 1]]` is state `s`'s row.
+    action_start: Vec<u32>,
+    actions: Vec<(u32, Action)>,
+    /// `gotos[goto_start[s]..goto_start[s + 1]]` is state `s`'s row.
+    goto_start: Vec<u32>,
+    gotos: Vec<(u32, StateId)>,
     conflicts: Vec<Conflict>,
     resolutions: Vec<Resolution>,
 }
 
 impl Tables {
     pub(crate) fn build(g: &Grammar, auto: &Automaton) -> Tables {
-        let nterm = g.terminal_count();
-        let nnont = g.nonterminal_count();
         let nstates = auto.state_count();
-        let mut action = vec![Action::Error; nstates * nterm];
-        let mut goto_ = vec![None; nstates * nnont];
+        let mut action_start = Vec::with_capacity(nstates + 1);
+        let mut actions = Vec::new();
+        let mut goto_start = Vec::with_capacity(nstates + 1);
+        let mut gotos = Vec::new();
         let mut conflicts = Vec::new();
         let mut resolutions = Vec::new();
+        // One state's action row and a bitmask of the cells it set; the
+        // emit loop walks the mask and resets both for the next state.
+        let mut row = vec![Action::Error; g.terminal_count()];
+        let mut touched = vec![0u64; g.terminal_count().div_ceil(64)];
 
         for sid in auto.state_ids() {
             let st = auto.state(sid);
+            action_start.push(actions.len() as u32);
+            goto_start.push(gotos.len() as u32);
+            // Transitions are sorted by symbol, and dense indices follow
+            // symbol order, so the goto row comes out sorted.
             for &(sym, target) in st.transitions() {
                 match g.kind(sym) {
                     SymbolKind::Terminal => {
+                        let t = g.tindex(sym);
+                        touched[t / 64] |= 1 << (t % 64);
                         // The augmented production ends in `$end`; shifting
                         // it is acceptance.
-                        action[sid.index() * nterm + g.tindex(sym)] = if sym == SymbolId::EOF {
+                        row[t] = if sym == SymbolId::EOF {
                             Action::Accept
                         } else {
                             Action::Shift(target)
                         };
                     }
-                    SymbolKind::Nonterminal => {
-                        goto_[sid.index() * nnont + g.ntindex(sym)] = Some(target);
-                    }
+                    SymbolKind::Nonterminal => gotos.push((g.ntindex(sym) as u32, target)),
                 }
             }
             for (i, &it) in st.items().iter().enumerate() {
@@ -83,14 +97,17 @@ impl Tables {
                 let prod = it.prod();
                 for t in st.lookahead(i).iter() {
                     let term = g.terminal(t);
-                    let cell = &mut action[sid.index() * nterm + t];
+                    let cell = &mut row[t];
                     let new = if prod == g.accept_prod() {
                         Action::Accept
                     } else {
                         Action::Reduce(prod)
                     };
                     match *cell {
-                        Action::Error => *cell = new,
+                        Action::Error => {
+                            touched[t / 64] |= 1 << (t % 64);
+                            *cell = new;
+                        }
                         // Acceptance is a shift of `$end`, so a reduction
                         // clashing with it is a shift/reduce conflict on
                         // the end-of-input marker.
@@ -175,7 +192,24 @@ impl Tables {
                     }
                 }
             }
+            // Emit the row's non-`Error` cells in terminal order; a cell a
+            // nonassoc declaration turned into `Error` becomes a miss.
+            for (w, word) in touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let t = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let cell = std::mem::take(&mut row[t]);
+                    if cell != Action::Error {
+                        actions.push((t as u32, cell));
+                    }
+                }
+            }
         }
+        action_start.push(actions.len() as u32);
+        goto_start.push(gotos.len() as u32);
+        actions.shrink_to_fit();
+        gotos.shrink_to_fit();
 
         // One conflict may surface under many lookahead terminals (an
         // eqn-style reduce/reduce pair clashes on every terminal in the
@@ -186,10 +220,10 @@ impl Tables {
         conflicts.retain(|c| seen.insert((c.state, c.reduce_prod, c.kind)));
 
         Tables {
-            nterm,
-            nnont,
-            action,
-            goto_,
+            action_start,
+            actions,
+            goto_start,
+            gotos,
             conflicts,
             resolutions,
         }
@@ -201,7 +235,11 @@ impl Tables {
     ///
     /// Panics if `term` is a nonterminal.
     pub fn action(&self, g: &Grammar, state: StateId, term: SymbolId) -> Action {
-        self.action[state.index() * self.nterm + g.tindex(term)]
+        lookup(
+            state_row(&self.actions, &self.action_start, state),
+            g.tindex(term),
+        )
+        .unwrap_or(Action::Error)
     }
 
     /// The goto target for `state` on nonterminal `nt`, if any.
@@ -210,7 +248,10 @@ impl Tables {
     ///
     /// Panics if `nt` is a terminal.
     pub fn goto(&self, g: &Grammar, state: StateId, nt: SymbolId) -> Option<StateId> {
-        self.goto_[state.index() * self.nnont + g.ntindex(nt)]
+        lookup(
+            state_row(&self.gotos, &self.goto_start, state),
+            g.ntindex(nt),
+        )
     }
 
     /// The conflicts that survived precedence resolution, in (state,
@@ -224,15 +265,29 @@ impl Tables {
         &self.resolutions
     }
 
-    /// Resident bytes: the dense action (states × terminals) and goto
-    /// (states × nonterminals) arrays plus the conflict and resolution
-    /// lists.
+    /// Resident bytes: the sparse action and goto rows with their
+    /// per-state offsets, plus the conflict and resolution lists.
     pub fn estimated_bytes(&self) -> usize {
-        std::mem::size_of_val(self.action.as_slice())
-            + std::mem::size_of_val(self.goto_.as_slice())
+        std::mem::size_of_val(self.action_start.as_slice())
+            + std::mem::size_of_val(self.actions.as_slice())
+            + std::mem::size_of_val(self.goto_start.as_slice())
+            + std::mem::size_of_val(self.gotos.as_slice())
             + std::mem::size_of_val(self.conflicts.as_slice())
             + std::mem::size_of_val(self.resolutions.as_slice())
     }
+}
+
+/// State `state`'s slice of a row-packed table.
+fn state_row<'a, T>(entries: &'a [(u32, T)], start: &[u32], state: StateId) -> &'a [(u32, T)] {
+    let s = state.index();
+    &entries[start[s] as usize..start[s + 1] as usize]
+}
+
+/// The value at dense index `key` in a sorted row, if present.
+fn lookup<T: Copy>(row: &[(u32, T)], key: usize) -> Option<T> {
+    row.binary_search_by_key(&(key as u32), |&(k, _)| k)
+        .ok()
+        .map(|i| row[i].1)
 }
 
 #[cfg(test)]

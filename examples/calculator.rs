@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 3: parse. `NUM + NUM * NUM` must group as NUM + (NUM * NUM).
     let input = tokens(&fixed, &["NUM", "+", "NUM", "*", "NUM", "+", "NUM"]);
-    let tree = parser::parse(&fixed, &auto, &tables, &input)?;
+    let tree = parser::parse(&fixed, &tables, &input)?;
     println!("\nparse tree of NUM + NUM * NUM + NUM:");
     show(&fixed, &tree, 2);
 

@@ -63,6 +63,13 @@ if [[ "$quick" -eq 0 ]]; then
 
   echo "==> automaton bench (smoke: LALR construction on five corpus grammars)"
   LALRCEX_BENCH_SMOKE=1 cargo bench -q -p lalrcex-bench --bench conflicts -- automaton
+
+  echo "==> verify_large smoke (ledger states and productions, all five input classes)"
+  last=$(bash perfbench/run.sh --workload verify_large --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  if [[ "$last" != *'"correct": true'* || "$last" != *'"failed": 0'* ]]; then
+    echo "verify_large smoke failed: $last" >&2
+    exit 1
+  fi
 fi
 
 echo "==> benchmark self-tests (generator, ledger, metric names)"

@@ -45,7 +45,7 @@ impl Fixture {
         // must be among the GLR trees.
         let tables = self.auto.tables(&self.g);
         if glr_parses.len() == 1 {
-            let tree = parser::parse(&self.g, &self.auto, &tables, input)
+            let tree = parser::parse(&self.g, &tables, input)
                 .unwrap_or_else(|e| panic!("LR rejects unambiguous input: {e}"));
             assert_eq!(tree, glr_parses[0], "LR tree differs from the GLR tree");
         }

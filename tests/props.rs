@@ -9,15 +9,17 @@
 //!
 //! The LALR(1) lookahead sets are checked against an independent oracle:
 //! canonical LR(1), built here from scratch, over the generator grammars,
-//! the whole corpus and the committed yacc twins.
+//! the whole corpus and the committed yacc twins. Over the same grammars
+//! the LR(0) states and the sparse parse tables are checked against
+//! straightforward reference constructions.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use lalrcex::core::{validate, Analyzer, CexConfig, SearchConfig};
 use lalrcex::earley::{chart, forest};
-use lalrcex::grammar::{Grammar, GrammarBuilder, SymbolId, TerminalSet};
-use lalrcex::lr::{glr, Automaton, Item, StateId};
+use lalrcex::grammar::{Assoc, Grammar, GrammarBuilder, SymbolId, SymbolKind, TerminalSet};
+use lalrcex::lr::{glr, Action, Automaton, Conflict, ConflictKind, Item, Resolution, StateId};
 use lalrcex::prng::XorShift;
 
 /// A compact description of a random grammar: for each nonterminal, a few
@@ -206,7 +208,7 @@ fn lr_equals_glr_without_conflicts() {
         }
         for _ in 0..4 {
             let input = gen_word(&mut rng, &g);
-            let lr = lalrcex::lr::parser::parse(&g, &auto, &tables, &input).is_ok();
+            let lr = lalrcex::lr::parser::parse(&g, &tables, &input).is_ok();
             let glr_accepts = !glr::parses(
                 &g,
                 &auto,
@@ -466,4 +468,193 @@ fn lr0_states_equal_reference_construction() {
             );
         }
     }
+}
+
+/// The dense reference tables: a states × terminals action array, a
+/// states × nonterminals goto array, and the conflicts and resolutions.
+struct RefTables {
+    action: Vec<Action>,
+    goto: Vec<Option<StateId>>,
+    conflicts: Vec<Conflict>,
+    resolutions: Vec<Resolution>,
+}
+
+/// The dense table construction `Tables` replaced, kept as a reference:
+/// every cell of one array per state, filled with the same yacc-style
+/// precedence resolution and conflict recording.
+fn reference_tables(g: &Grammar, auto: &Automaton) -> RefTables {
+    let nterm = g.terminal_count();
+    let nnont = g.nonterminal_count();
+    let mut action = vec![Action::Error; auto.state_count() * nterm];
+    let mut goto = vec![None; auto.state_count() * nnont];
+    let mut conflicts = Vec::new();
+    let mut resolutions = Vec::new();
+    for sid in auto.state_ids() {
+        let st = auto.state(sid);
+        for &(sym, target) in st.transitions() {
+            match g.kind(sym) {
+                SymbolKind::Terminal => {
+                    action[sid.index() * nterm + g.tindex(sym)] = if sym == SymbolId::EOF {
+                        Action::Accept
+                    } else {
+                        Action::Shift(target)
+                    };
+                }
+                SymbolKind::Nonterminal => {
+                    goto[sid.index() * nnont + g.ntindex(sym)] = Some(target)
+                }
+            }
+        }
+        for (i, &it) in st.items().iter().enumerate() {
+            if !it.is_reduce(g) {
+                continue;
+            }
+            let prod = it.prod();
+            for t in st.lookahead(i).iter() {
+                let term = g.terminal(t);
+                let cell = &mut action[sid.index() * nterm + t];
+                let new = if prod == g.accept_prod() {
+                    Action::Accept
+                } else {
+                    Action::Reduce(prod)
+                };
+                match *cell {
+                    Action::Error => *cell = new,
+                    Action::Shift(_) | Action::Accept => {
+                        match (g.prod(prod).precedence(), g.terminal_prec(term)) {
+                            (Some(pp), Some(tp)) => {
+                                let chosen = match pp.level.cmp(&tp.level) {
+                                    std::cmp::Ordering::Greater => new,
+                                    std::cmp::Ordering::Less => *cell,
+                                    std::cmp::Ordering::Equal => match pp.assoc {
+                                        Assoc::Left => new,
+                                        Assoc::Right => *cell,
+                                        Assoc::Nonassoc => Action::Error,
+                                    },
+                                };
+                                *cell = chosen;
+                                resolutions.push(Resolution {
+                                    state: sid,
+                                    terminal: term,
+                                    reduce_prod: prod,
+                                    chosen,
+                                });
+                            }
+                            _ => {
+                                let before = conflicts.len();
+                                for &shift_item in st.items() {
+                                    if shift_item.next_symbol(g) == Some(term) {
+                                        conflicts.push(Conflict {
+                                            state: sid,
+                                            terminal: term,
+                                            reduce_prod: prod,
+                                            kind: ConflictKind::ShiftReduce { shift_item },
+                                        });
+                                    }
+                                }
+                                if conflicts.len() == before {
+                                    conflicts.push(Conflict {
+                                        state: sid,
+                                        terminal: term,
+                                        reduce_prod: g.accept_prod(),
+                                        kind: ConflictKind::ReduceReduce { other_prod: prod },
+                                    });
+                                }
+                            }
+                        }
+                    }
+                    Action::Reduce(p2) => {
+                        let (first, second) = (p2.min(prod), p2.max(prod));
+                        conflicts.push(Conflict {
+                            state: sid,
+                            terminal: term,
+                            reduce_prod: first,
+                            kind: ConflictKind::ReduceReduce { other_prod: second },
+                        });
+                        *cell = Action::Reduce(first);
+                    }
+                }
+            }
+        }
+    }
+    let mut seen = HashSet::new();
+    conflicts.retain(|c| seen.insert((c.state, c.reduce_prod, c.kind)));
+    RefTables {
+        action,
+        goto,
+        conflicts,
+        resolutions,
+    }
+}
+
+/// The sparse `Tables` answer every (state, terminal) action and every
+/// (state, nonterminal) goto like the dense reference construction, list
+/// the same conflicts and resolutions in the same order, and hold exactly
+/// the reference's non-`Error` action cells and present gotos (so a
+/// nonassoc `Error` cell is a miss, not a stored entry), over every oracle
+/// grammar and two precedence grammars.
+#[test]
+fn tables_equal_dense_reference_construction() {
+    // No oracle grammar resolves a cell to a nonassoc `Error`; these do,
+    // one of them in a state where a later reduction refills the cell.
+    let mut grammars = oracle_grammars();
+    for text in [
+        "%nonassoc EQ '<' %left '+' %left '*' %right UMINUS
+         %% e : e EQ e | e '<' e | e '+' e | e '*' e | '-' e %prec UMINUS | NUM ;",
+        "%nonassoc EQ %% s : h EQ NUM | e ; h : e EQ e ; e : e EQ e | NUM ;",
+    ] {
+        grammars.push((text.to_owned(), Grammar::parse(text).expect("parses")));
+    }
+    for (name, g) in &grammars {
+        let auto = Automaton::build(g);
+        let tables = auto.tables(g);
+        let reference = reference_tables(g, &auto);
+        let (nterm, nnont) = (g.terminal_count(), g.nonterminal_count());
+        for id in auto.state_ids() {
+            for t in 0..nterm {
+                assert_eq!(
+                    tables.action(g, id, g.terminal(t)),
+                    reference.action[id.index() * nterm + t],
+                    "{name}: {id:?} action on {}",
+                    g.display_name(g.terminal(t))
+                );
+            }
+            for n in 0..nnont {
+                assert_eq!(
+                    tables.goto(g, id, g.nonterminal(n)),
+                    reference.goto[id.index() * nnont + n],
+                    "{name}: {id:?} goto on {}",
+                    g.display_name(g.nonterminal(n))
+                );
+            }
+        }
+        assert_eq!(tables.conflicts(), reference.conflicts, "{name}: conflicts");
+        assert_eq!(
+            tables.resolutions(),
+            reference.resolutions,
+            "{name}: resolutions"
+        );
+        assert_eq!(
+            tables.estimated_bytes(),
+            sparse_bytes(&reference, auto.state_count()),
+            "{name}: stored entries"
+        );
+    }
+}
+
+/// What `Tables::estimated_bytes` charges for the reference's cells
+/// stored sparsely: one entry per non-`Error` action and per present goto,
+/// two offset arrays, and the conflict and resolution lists.
+fn sparse_bytes(reference: &RefTables, states: usize) -> usize {
+    let actions = reference
+        .action
+        .iter()
+        .filter(|&&a| a != Action::Error)
+        .count();
+    let gotos = reference.goto.iter().flatten().count();
+    actions * std::mem::size_of::<(u32, Action)>()
+        + gotos * std::mem::size_of::<(u32, StateId)>()
+        + 2 * (states + 1) * std::mem::size_of::<u32>()
+        + std::mem::size_of_val(reference.conflicts.as_slice())
+        + std::mem::size_of_val(reference.resolutions.as_slice())
 }

@@ -293,8 +293,9 @@ fn small_cache_budget_evicts_lru() {
         cache_mb: 1,
         ..ServeOptions::default()
     });
-    // Each engine is a few hundred KB; three distinct ones overflow 1 MiB.
-    for (i, salt) in [1u32, 2, 3].iter().enumerate() {
+    // Each engine is a few hundred KB (about 0.44 MB); five distinct ones
+    // overflow 1 MiB about twice over.
+    for (i, salt) in [1u32, 2, 3, 4, 5].iter().enumerate() {
         h.send(&analyze_line(&format!("g{salt}"), &big_grammar(*salt), ""));
         h.wait_responses(i + 1);
     }
