@@ -22,7 +22,9 @@ use std::time::Duration;
 
 use lalrcex_baselines::{amber, filtered};
 use lalrcex_bench::micro::{Group, MicroConfig};
-use lalrcex_core::{lssi, unifying_search, Analyzer, CexConfig, SearchConfig, StateGraph};
+use lalrcex_core::{
+    lssi, unifying_search_metered, Analyzer, CexConfig, SearchConfig, SearchMetrics, StateGraph,
+};
 use lalrcex_lr::Automaton;
 
 fn automaton_construction(cfg: MicroConfig, filter: Option<String>) {
@@ -64,7 +66,8 @@ fn unifying(cfg: MicroConfig, filter: Option<String>) {
         let states = lssi::states_of_path(&graph, &path);
         let scfg = SearchConfig::default();
         group.bench(name, || {
-            unifying_search(&g, &auto, &graph, &conflict, &states, &scfg)
+            let mut m = SearchMetrics::default();
+            unifying_search_metered(&g, &auto, &graph, &conflict, &states, &scfg, &mut m)
         });
     }
 }
@@ -96,67 +99,6 @@ fn baseline(cfg: MicroConfig, filter: Option<String>) {
             max_steps: 50_000_000,
         };
         group.bench(name, || filtered::search(&g, &conflict, &budget));
-    }
-}
-
-/// Cancellation-poll overhead (ISSUE 3): `stride1` re-checks the cancel
-/// token and the wall clock on *every* configuration pop — what a naive per-node `Instant::now()`
-/// implementation pays — while `stride256` (the default) amortizes the
-/// poll across 256 pops. The node budget caps the search so both variants
-/// expand identical configurations; only the poll frequency differs.
-fn cancel_stride(cfg: MicroConfig, filter: Option<String>) {
-    use lalrcex_core::{unifying_search_metered, Engine, SearchMetrics};
-
-    let mut group = Group::new("cancel_stride", cfg, filter);
-    for name in ["Java.2", "C.3"] {
-        let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
-        let engine = Engine::new(&g);
-        // Pick the conflict whose bounded search explores the most
-        // configurations, so the poll sits in a genuinely hot loop.
-        let probe_cfg = SearchConfig {
-            time_limit: Duration::from_secs(3600),
-            max_configs: 50_000,
-            ..SearchConfig::default()
-        };
-        let mut best: Option<(usize, u64)> = None;
-        for (i, c) in engine.tables().conflicts().iter().take(40).enumerate() {
-            let (spine, _) = engine.spine(c);
-            let mut m = SearchMetrics::default();
-            unifying_search_metered(
-                &g,
-                engine.automaton(),
-                engine.graph(),
-                c,
-                &spine.states,
-                &probe_cfg,
-                &mut m,
-            );
-            if best.is_none_or(|(_, e)| m.explored > e) {
-                best = Some((i, m.explored));
-            }
-        }
-        let (idx, _) = best.expect("corpus grammar has conflicts");
-        let conflict = engine.tables().conflicts()[idx];
-        let (spine, _) = engine.spine(&conflict);
-        for stride in [1u32, 256] {
-            let scfg = SearchConfig {
-                cancel_stride: stride,
-                ..probe_cfg
-            };
-            group.bench(&format!("{name}/stride{stride}"), || {
-                let mut m = SearchMetrics::default();
-                unifying_search_metered(
-                    &g,
-                    engine.automaton(),
-                    engine.graph(),
-                    &conflict,
-                    &spine.states,
-                    &scfg,
-                    &mut m,
-                );
-                m.explored
-            });
-        }
     }
 }
 
@@ -197,7 +139,7 @@ fn search_throughput(filter: Option<String>) {
     use std::time::Instant;
 
     use lalrcex_bench::micro::{write_throughput_json, ThroughputRecord};
-    use lalrcex_core::{unifying_search_metered, Engine, SearchMetrics};
+    use lalrcex_core::Engine;
 
     let smoke = std::env::var_os("LALRCEX_BENCH_SMOKE").is_some_and(|v| v != "0");
     let budget: usize = if smoke { 20_000 } else { 200_000 };
@@ -221,9 +163,8 @@ fn search_throughput(filter: Option<String>) {
         }
         let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
         let engine = Engine::new(&g);
-        // Heaviest conflict by a cheap bounded probe, as in cancel_stride:
-        // throughput on a trivially-exhausted conflict measures setup, not
-        // the search loop.
+        // Heaviest conflict by a cheap bounded probe: throughput on a
+        // trivially-exhausted conflict measures setup, not the search loop.
         let probe_cfg = SearchConfig {
             time_limit: Duration::from_secs(3600),
             max_configs: 5_000,
@@ -310,7 +251,6 @@ fn main() {
     unifying(slow, filter.clone());
     full_conflict(slow, filter.clone());
     baseline(slow, filter.clone());
-    cancel_stride(slow, filter.clone());
     lint_passes(slow, filter.clone());
     search_throughput(filter);
 }

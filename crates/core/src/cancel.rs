@@ -10,10 +10,9 @@
 //! phases (§6 graceful cutoff).
 //!
 //! Cancellation is *cooperative*: the search loop polls the token (one
-//! relaxed atomic load) plus its wall-clock deadline on a stride
-//! ([`SearchConfig::cancel_stride`](crate::SearchConfig)), so the hot loop
-//! does not pay an `Instant::now()` syscall per node. The stride bench in
-//! `crates/bench` quantifies the difference.
+//! relaxed atomic load) plus its wall-clock deadline every 256
+//! configuration pops, so the hot loop does not pay an `Instant::now()`
+//! syscall per node.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -350,7 +350,6 @@ impl<'g> Engine<'g> {
                 // recursive clones). Genuine masked ambiguities are found at
                 // tiny costs; 512 leaves ample headroom.
                 max_cost: 512,
-                ..SearchConfig::default()
             };
             let mut metrics = crate::stats::SearchMetrics::default();
             match unifying_search_cancellable(

@@ -33,7 +33,7 @@
 //!
 //! The pieces are exposed individually for tooling: the state-item graph
 //! ([`StateGraph`]), lookahead-sensitive paths ([`lssi`]), the product
-//! parser search ([`unifying_search`]), and nonunifying construction
+//! parser search ([`unifying_search_metered`]), and nonunifying construction
 //! ([`nonunifying_example`]).
 
 // `deny` rather than `forbid`: the engine cache's self-referential
@@ -72,8 +72,8 @@ pub use report::{
     ExampleKind, GrammarReport,
 };
 pub use search::{
-    conflict_on, unifying_search, unifying_search_cancellable, unifying_search_metered,
-    SearchConfig, SearchOutcome, UnifyingExample,
+    conflict_on, unifying_search_cancellable, unifying_search_metered, SearchConfig, SearchOutcome,
+    UnifyingExample,
 };
 pub use state_graph::{NodeSet, StateGraph, StateItemId};
 pub use stats::{

@@ -34,14 +34,14 @@
 //!
 //! The frontier is processed one cost *bucket* at a time: every action
 //! costs at least 1, so the current bucket can never receive new entries
-//! while it is being expanded. The drained bucket is the expansion unit:
-//! its configurations are first walked in FIFO order (cancel polls and
-//! completion checks), then expanded into edit descriptors against the
-//! read-only arenas, and the descriptors are finally merged into the
-//! arenas in that same order. Cells are allocated only at merge, so cell
-//! ids — and with them the reported examples — follow the canonical
-//! bucket order. One search runs on one thread; parallelism is across
-//! conflicts ([`crate::Engine::analyze_all`]).
+//! while it is being expanded. The drained bucket is first walked in FIFO
+//! order (cancel polls and completion checks); then its configurations are
+//! expanded in that same order, and each successor is deduped against the
+//! visited set as soon as it is generated and, only if it is new, committed
+//! to the arenas. Cells are allocated only at that commit, so cell ids —
+//! and with them the reported examples — follow the canonical generation
+//! order. One search runs on one thread; parallelism is across conflicts
+//! ([`crate::Engine::analyze_all`]).
 
 use std::time::{Duration, Instant};
 
@@ -71,6 +71,12 @@ const REDUCE_COST: u32 = 1;
 /// sequence — §5.4: "the search algorithm must postpone such an expansion
 /// until other configurations have been considered".
 const DUPLICATE_PENALTY: u32 = 8;
+/// Configuration pops between polls of the cancel token and the deadline
+/// (a power of two, so the check is one AND). Each poll is one relaxed
+/// atomic load and one `Instant::now()`; striding keeps the clock read off
+/// the per-pop hot path. The stride changes when a cutoff is noticed,
+/// never the order of expansion.
+const CANCEL_STRIDE: u32 = 256;
 
 /// Tunable knobs for the unifying search.
 #[derive(Clone, Copy, Debug)]
@@ -94,13 +100,6 @@ pub struct SearchConfig {
     /// disables the cap; clock-free callers (the lint masking probe) set
     /// it so their worst case is bounded without consulting the clock.
     pub max_cost: u32,
-    /// How many configuration pops between cancellation polls. Each poll
-    /// is one relaxed atomic load on the shared [`CancelToken`] and one
-    /// `Instant::now()` against the deadline — strided so the hot loop
-    /// doesn't pay a clock syscall per node (the `cancel_stride` bench
-    /// group quantifies the overhead). Rounded up to a power of two; `1`
-    /// polls on every pop.
-    pub cancel_stride: u32,
 }
 
 impl Default for SearchConfig {
@@ -110,7 +109,6 @@ impl Default for SearchConfig {
             extended: false,
             max_configs: 1 << 21,
             max_cost: u32::MAX,
-            cancel_stride: 256,
         }
     }
 }
@@ -148,10 +146,9 @@ pub enum SearchOutcome {
     TimedOut,
 }
 
-/// All search-owned storage: the configuration arenas plus their shared
-/// pools. Cells are only allocated at initialization and during the
-/// merge phase, so everything here grows deterministically with the
-/// insertion sequence.
+/// The configuration arenas plus their shared pools. Cells are allocated
+/// only at initialization and when a successor is committed, so
+/// everything here grows deterministically with the commit sequence.
 struct Mem {
     /// Item-sequence cons cells.
     icell: CellArena,
@@ -232,22 +229,11 @@ fn h_pop_back(h: u64, vals: &[u32]) -> u64 {
         .wrapping_mul(wpow(SEQ_XINV, vals.len() as u64))
 }
 
-/// The dedup hash of a configuration, before pending ids are mixed in.
-fn cand_hash(len: [u32; 2], flags: u8, h: [u64; 2]) -> u64 {
+/// The dedup hash of a configuration.
+fn config_hash(len: [u32; 2], flags: u8, h: [u64; 2], pend: [u32; 2]) -> u64 {
     let seed = mix(mix(mix(0x5EED, len[0] as u64), len[1] as u64), flags as u64);
-    mix(mix(seed, h[0]), h[1])
-}
-
-/// How a successor's pending constraint derives from its parent's.
-#[derive(Clone, Copy)]
-enum PendRef {
-    /// Same id as the parent.
-    Keep,
-    /// An explicit id ([`NO_PENDING`] or an already-interned id).
-    Id(u32),
-    /// A freshly built set, stored in the expansion buffer; interned at
-    /// merge time so ids stay in canonical insertion order.
-    New(u32),
+    let h = mix(mix(seed, h[0]), h[1]);
+    mix(mix(h, pend[0] as u64), pend[1] as u64)
 }
 
 /// How a successor's item sequence derives from its parent's.
@@ -263,68 +249,13 @@ enum ItemOp {
     Reduce { pops: u32, goto_item: u32 },
 }
 
-/// How a successor's derivation list derives from its parent's.
-#[derive(Clone, Copy)]
-enum DerivDesc {
-    /// Share the parent's list (pure item-sequence actions).
-    Keep,
-    /// `[leaf] ++ parent` (reverse transition).
-    Prepend(u32),
-    /// `parent ++ [leaf]` (joint transition).
-    Append(u32),
-    /// Reduction: pop the last `pops` entries (dot markers included), wrap
-    /// them in a new node of `lhs`, and append that node.
-    Reduce { pops: u32, lhs: SymbolId },
-}
-
-/// A successor candidate produced by expansion; merge resolves it against
-/// the visited set and commits it to the arenas. Candidates are pure *edit
-/// descriptors* — expansion only reads the arenas and allocates no cells,
-/// so cell ids follow the canonical merge order.
-struct Cand {
-    parent: u32,
-    cost: u32,
-    flags: u8,
-    pend: [PendRef; 2],
-    /// Per-parser item-sequence edit.
-    op: [ItemOp; 2],
-    /// Resulting item-sequence lengths.
-    len: [u32; 2],
-    /// Resulting positional item-sequence hashes.
-    h: [u64; 2],
-    /// Hash over lengths, flags, and items; pending ids are mixed in at
-    /// merge time (after interning).
-    hash: u64,
-    dd: [DerivDesc; 2],
-}
-
-/// The search's expansion output; cleared per batch, except for the
-/// membership memo, a cache over immutable cells.
-#[derive(Default)]
-struct ExpandBuf {
-    cands: Vec<Cand>,
-    new_sets: Vec<TerminalSet>,
-    /// Transient back-read values (reduction predecessors).
-    vals: Vec<u32>,
-    /// Transient cell-walk scratch.
-    scratch: Vec<u32>,
-    /// Memoized §5.4 duplicate-check facts; persists across batches
-    /// (cells are immutable, so facts never go stale).
-    memo: FactMap,
-}
-
-impl ExpandBuf {
-    fn clear(&mut self) {
-        self.cands.clear();
-        self.new_sets.clear();
-    }
-}
-
 #[inline]
 fn si(w: u32) -> StateItemId {
     StateItemId::from_index(w as usize)
 }
 
+/// One search: the conflict-independent inputs, the arenas, the visited
+/// set and the frontier.
 struct Search<'a> {
     g: &'a Grammar,
     auto: &'a Automaton,
@@ -335,129 +266,192 @@ struct Search<'a> {
     rr: bool,
     /// States allowed as reverse-transition targets (`None` = extended).
     allowed: Option<NodeSet>,
+    /// [`SearchConfig::max_cost`].
+    max_cost: u32,
+    mem: Mem,
+    visited: Visited,
+    queue: BucketQueue,
+    metrics: &'a mut SearchMetrics,
+    /// Whether a successor was pruned by `max_cost`: a drained queue then
+    /// proves nothing.
+    cost_pruned: bool,
+    /// Transient back-read values (reduction predecessors and popped
+    /// derivation children).
+    vals: Vec<u32>,
+    /// Transient cell-walk scratch.
+    scratch: Vec<u32>,
+    /// Memoized §5.4 duplicate-check facts (cells are immutable, so facts
+    /// never go stale).
+    memo: FactMap,
 }
 
-impl Search<'_> {
+impl<'a> Search<'a> {
     fn item(&self, w: u32) -> lalrcex_lr::Item {
         self.graph.item(si(w))
     }
 
-    fn lookahead(&self, id: StateItemId) -> &TerminalSet {
+    fn lookahead(&self, id: StateItemId) -> &'a TerminalSet {
         self.graph.lookahead(self.auto, id)
     }
 
-    /// Finalizes a candidate from its edit descriptors.
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &self,
-        buf: &mut ExpandBuf,
-        parent: u32,
-        cost: u32,
-        flags: u8,
-        pend: [PendRef; 2],
-        op: [ItemOp; 2],
-        len: [u32; 2],
-        h: [u64; 2],
-        dd: [DerivDesc; 2],
-    ) {
-        let hash = cand_hash(len, flags, h);
-        buf.cands.push(Cand {
-            parent,
-            cost,
-            flags,
-            pend,
-            op,
-            len,
-            h,
-            hash,
-            dd,
-        });
+    /// Whether a successor of cost `cost` is within the cost cap; records
+    /// the pruning otherwise.
+    fn affordable(&mut self, cost: u32) -> bool {
+        self.cost_pruned |= cost > self.max_cost;
+        cost <= self.max_cost
     }
 
-    /// Emits all Figure 10 successors of configuration `idx`.
-    fn successors(&self, mem: &Mem, idx: u32, buf: &mut ExpandBuf) {
-        let i = idx as usize;
+    /// Dedups the successor of `parent` that applies `op` to its item
+    /// sequences and, if it is new, commits it: allocates its item cells,
+    /// stores it with its parent's derivation lists (the caller edits
+    /// those), and queues it. Returns the new configuration's index.
+    fn commit(
+        &mut self,
+        parent: usize,
+        cost: u32,
+        flags: u8,
+        pend: [u32; 2],
+        op: [ItemOp; 2],
+        h: [u64; 2],
+    ) -> Option<usize> {
+        if !self.affordable(cost) {
+            return None;
+        }
+        let mut len = self.mem.ilen(parent);
+        for (l, op) in len.iter_mut().zip(op) {
+            *l = match op {
+                ItemOp::Keep => *l,
+                ItemOp::Prepend(_) | ItemOp::Append(_) => *l + 1,
+                ItemOp::Reduce { pops, .. } => *l - pops + 1,
+            };
+        }
+        let new_idx = self.mem.len();
+        let mem = &self.mem;
+        // Dedup identity: flags, pending ids, and lengths compare exactly;
+        // item content compares by the two per-parser 64-bit positional
+        // hashes (a 128-bit fingerprint — for a false merge one parser's
+        // polynomial hash must collide at equal length, ~2^-64 per pair).
+        // Debug builds verify the fingerprint against the actual cells.
+        let inserted =
+            self.visited
+                .insert_with(config_hash(len, flags, h, pend), new_idx as u32, |other| {
+                    let o = other as usize;
+                    let eq = mem.flags[o] == flags
+                        && mem.pend[o] == pend
+                        && mem.ilen(o) == len
+                        && mem.ihash[o] == h;
+                    debug_assert!(
+                        !eq || cand_items_eq(mem, parent, op, o),
+                        "positional-hash fingerprint collision"
+                    );
+                    eq
+                });
+        if !inserted {
+            self.metrics.deduped += 1;
+            return None;
+        }
+        let mem = &mut self.mem;
+        let mut iseq = mem.iseq[parent];
+        let mut ifirst = mem.ifirst[parent];
+        for p in 0..2 {
+            match op[p] {
+                ItemOp::Keep => {}
+                ItemOp::Prepend(v) => {
+                    iseq[p] = iseq[p].prepend(&mut mem.icell, v);
+                    ifirst[p] = v;
+                }
+                ItemOp::Append(v) => iseq[p] = iseq[p].append(&mut mem.icell, v),
+                ItemOp::Reduce { pops, goto_item } => {
+                    iseq[p] = iseq[p]
+                        .pop_back(&mut mem.icell, pops, &mut self.scratch)
+                        .append(&mut mem.icell, goto_item);
+                }
+            }
+        }
+        mem.cost.push(cost);
+        mem.flags.push(flags);
+        mem.pend.push(pend);
+        mem.iseq.push(iseq);
+        mem.ifirst.push(ifirst);
+        mem.ihash.push(h);
+        mem.dseq.push(mem.dseq[parent]);
+        self.queue.push(cost, new_idx as u32);
+        self.metrics.enqueued += 1;
+        Some(new_idx)
+    }
+
+    /// Generates and commits all Figure 10 successors of configuration `i`.
+    fn successors(&mut self, i: usize) {
         let red = [
-            self.item(mem.iseq[i][0].last(&mem.icell)).is_reduce(self.g),
-            self.item(mem.iseq[i][1].last(&mem.icell)).is_reduce(self.g),
+            self.item(self.mem.iseq[i][0].last(&self.mem.icell))
+                .is_reduce(self.g),
+            self.item(self.mem.iseq[i][1].last(&self.mem.icell))
+                .is_reduce(self.g),
         ];
         for (p, &is_red) in red.iter().enumerate() {
             if is_red {
-                self.reduce_or_prep(mem, idx, p, buf);
+                self.reduce_or_prep(i, p);
             }
         }
         if !red[0] && !red[1] {
-            self.forward(mem, idx, buf);
+            self.forward(i);
         }
     }
 
-    fn reduce_or_prep(&self, mem: &Mem, idx: u32, p: usize, buf: &mut ExpandBuf) {
-        let i = idx as usize;
-        let m = mem.iseq[i][p].len() as usize;
-        let it = self.item(mem.iseq[i][p].last(&mem.icell));
+    fn reduce_or_prep(&mut self, i: usize, p: usize) {
+        let m = self.mem.iseq[i][p].len() as usize;
+        let it = self.item(self.mem.iseq[i][p].last(&self.mem.icell));
         let l = self.g.prod(it.prod()).rhs().len();
         if m >= l + 2 {
-            self.reduce(mem, idx, p, buf);
+            self.reduce(i, p);
         } else if m == l + 1 {
             // Figure 10(d): reverse production step on parser p.
-            debug_assert_eq!(self.item(mem.ifirst[i][p]).dot(), 0);
-            self.rev_prod_steps(mem, idx, p, buf);
+            debug_assert_eq!(self.item(self.mem.ifirst[i][p]).dot(), 0);
+            self.rev_prod_steps(i, p);
         } else {
             // m < l+1: parser p's first item has dot > 0.
-            debug_assert!(self.item(mem.ifirst[i][p]).dot() > 0);
+            debug_assert!(self.item(self.mem.ifirst[i][p]).dot() > 0);
             let q = 1 - p;
-            if self.item(mem.ifirst[i][q]).dot() == 0 {
+            if self.item(self.mem.ifirst[i][q]).dot() == 0 {
                 // Figure 10(e): reverse production step on the other parser.
-                self.rev_prod_steps(mem, idx, q, buf);
+                self.rev_prod_steps(i, q);
             } else {
-                self.reverse_transitions(mem, idx, buf);
+                self.reverse_transitions(i);
             }
         }
     }
 
     /// Reverse production steps prepending to parser `p` (Figure 10(d,e)).
-    fn rev_prod_steps(&self, mem: &Mem, idx: u32, p: usize, buf: &mut ExpandBuf) {
-        let i = idx as usize;
-        let cost = mem.cost[i];
-        let flags = mem.flags[i];
-        let oldlen = mem.iseq[i][p].len();
-        for &pre in self.graph.reverse_production_steps(si(mem.ifirst[i][p])) {
+    fn rev_prod_steps(&mut self, i: usize, p: usize) {
+        let graph = self.graph;
+        let seq = self.mem.iseq[i][p];
+        let (cost, flags, pend) = (self.mem.cost[i], self.mem.flags[i], self.mem.pend[i]);
+        for &pre in graph.reverse_production_steps(si(self.mem.ifirst[i][p])) {
             let pre = pre.index() as u32;
-            let dup = mem.iseq[i][p].contains_memo(&mem.icell, pre, false, &mut buf.memo);
-            let mut op = [ItemOp::Keep, ItemOp::Keep];
+            let dup = seq.contains_memo(&self.mem.icell, pre, false, &mut self.memo);
+            let mut op = [ItemOp::Keep; 2];
             op[p] = ItemOp::Prepend(pre);
-            let mut len = mem.ilen(i);
-            len[p] += 1;
-            let mut h = mem.ihash[i];
-            h[p] = h_prepend(h[p], pre, oldlen);
-            self.emit(
-                buf,
-                idx,
-                cost + REVERSE_PRODUCTION_COST + if dup { DUPLICATE_PENALTY } else { 0 },
-                flags,
-                [PendRef::Keep, PendRef::Keep],
-                op,
-                len,
-                h,
-                [DerivDesc::Keep, DerivDesc::Keep],
-            );
+            let mut h = self.mem.ihash[i];
+            h[p] = h_prepend(h[p], pre, seq.len());
+            let cost = cost + REVERSE_PRODUCTION_COST + if dup { DUPLICATE_PENALTY } else { 0 };
+            self.commit(i, cost, flags, pend, op, h);
         }
     }
 
     /// Figure 10(c): prepend matching predecessors to both parsers.
-    fn reverse_transitions(&self, mem: &Mem, idx: u32, buf: &mut ExpandBuf) {
-        let i = idx as usize;
-        let [f0, f1] = mem.ifirst[i];
-        let flags = mem.flags[i];
-        let cost = mem.cost[i] + REVERSE_TRANSITION_COST;
-        let lens = mem.ilen(i);
+    fn reverse_transitions(&mut self, i: usize) {
+        let graph = self.graph;
+        let [f0, f1] = self.mem.ifirst[i];
+        let (flags, pend, h) = (self.mem.flags[i], self.mem.pend[i], self.mem.ihash[i]);
+        let cost = self.mem.cost[i] + REVERSE_TRANSITION_COST;
+        let lens = self.mem.ilen(i);
         let sym = self
             .item(f0)
             .prev_symbol(self.g)
             .expect("reverse transition requires dot > 0");
-        let leaf = mem.nodes.leaf(sym);
-        for &p0 in self.graph.reverse_transitions(si(f0)) {
-            let state = self.graph.state(p0);
+        let leaf = self.mem.nodes.leaf(sym);
+        for &p0 in graph.reverse_transitions(si(f0)) {
+            let state = graph.state(p0);
             if let Some(allowed) = &self.allowed {
                 if !allowed.contains(state.index()) {
                     continue;
@@ -468,49 +462,42 @@ impl Search<'_> {
             if flags & 1 == 0 && !self.lookahead(p0).contains(self.t_idx) {
                 continue;
             }
-            for &p1 in self.graph.reverse_transitions(si(f1)) {
-                if self.graph.state(p1) != state {
+            for &p1 in graph.reverse_transitions(si(f1)) {
+                if graph.state(p1) != state {
                     continue;
                 }
                 if self.rr && flags & 2 == 0 && !self.lookahead(p1).contains(self.t_idx) {
                     continue;
                 }
-                let w0 = p0.index() as u32;
-                let w1 = p1.index() as u32;
-                let h = [
-                    h_prepend(mem.ihash[i][0], w0, lens[0]),
-                    h_prepend(mem.ihash[i][1], w1, lens[1]),
-                ];
-                self.emit(
-                    buf,
-                    idx,
-                    cost,
-                    flags,
-                    [PendRef::Keep, PendRef::Keep],
-                    [ItemOp::Prepend(w0), ItemOp::Prepend(w1)],
-                    [lens[0] + 1, lens[1] + 1],
-                    h,
-                    [DerivDesc::Prepend(leaf), DerivDesc::Prepend(leaf)],
-                );
+                let (w0, w1) = (p0.index() as u32, p1.index() as u32);
+                let op = [ItemOp::Prepend(w0), ItemOp::Prepend(w1)];
+                let h = [h_prepend(h[0], w0, lens[0]), h_prepend(h[1], w1, lens[1])];
+                if let Some(n) = self.commit(i, cost, flags, pend, op, h) {
+                    let mem = &mut self.mem;
+                    for d in &mut mem.dseq[n] {
+                        *d = d.prepend(&mut mem.dcell, leaf);
+                    }
+                }
             }
         }
     }
 
     /// Figure 10(f): reduction on parser p (which has enough items).
-    fn reduce(&self, mem: &Mem, idx: u32, p: usize, buf: &mut ExpandBuf) {
-        let i = idx as usize;
-        let seq = mem.iseq[i][p];
-        let m = seq.len() as usize;
-        let last_w = seq.last(&mem.icell);
-        let it = self.item(last_w);
-        let prod = it.prod();
-        let l = self.g.prod(prod).rhs().len();
-        let lhs = self.g.prod(prod).lhs();
+    fn reduce(&mut self, i: usize, p: usize) {
+        let seq = self.mem.iseq[i][p];
+        let last_w = seq.last(&self.mem.icell);
+        let prod = self.g.prod(self.item(last_w).prod());
+        let (l, lhs) = (prod.rhs().len(), prod.lhs());
 
         // The last `l+2` item words, last first (valid since `m >= l+2`):
         // the goto predecessor sits just before the reduced span.
-        seq.read_back(&mem.icell, (l + 2) as u32, &mut buf.vals, &mut buf.scratch);
-        let pred = si(buf.vals[l + 1]);
+        seq.read_back(
+            &self.mem.icell,
+            (l + 2) as u32,
+            &mut self.vals,
+            &mut self.scratch,
+        );
+        let pred = si(self.vals[l + 1]);
         debug_assert_eq!(self.graph.item(pred).next_symbol(self.g), Some(lhs));
         let Some(goto_si) = self.graph.transition(pred) else {
             return;
@@ -519,132 +506,122 @@ impl Search<'_> {
         // Lookahead viability: intersect the pending constraint with the
         // reduce item's lookahead set.
         let la = self.lookahead(si(last_w));
-        let pid = mem.pend[i][p];
-        let pend_p = if pid == NO_PENDING {
-            let slot = buf.new_sets.len() as u32;
-            buf.new_sets.push(la.clone());
-            PendRef::New(slot)
+        let pid = self.mem.pend[i][p];
+        let new_set = if pid == NO_PENDING {
+            Some(la.clone())
         } else {
-            let pn = mem.sets.get(pid);
+            let pn = self.mem.sets.get(pid);
             let mut x = pn.clone();
             x.intersect_with(la);
             if x.is_empty() {
                 return;
             }
-            if &x == pn {
-                PendRef::Keep
-            } else {
-                let slot = buf.new_sets.len() as u32;
-                buf.new_sets.push(x);
-                PendRef::New(slot)
-            }
+            (&x != pn).then_some(x)
         };
-
-        let flags = mem.flags[i];
-        let dpops = dlist_pops(mem, i, p, l, flags, &mut buf.scratch);
+        // The cost cap is checked before interning, so a pruned successor
+        // never interns its set.
+        let cost = self.mem.cost[i] + REDUCE_COST;
+        if !self.affordable(cost) {
+            return;
+        }
+        let mut pend = self.mem.pend[i];
+        if let Some(x) = new_set {
+            pend[p] = self.mem.sets.intern(x);
+        }
 
         let goto_w = goto_si.index() as u32;
-        let mut op = [ItemOp::Keep, ItemOp::Keep];
+        let mut op = [ItemOp::Keep; 2];
         op[p] = ItemOp::Reduce {
             pops: (l + 1) as u32,
             goto_item: goto_w,
         };
-        let mut len = mem.ilen(i);
-        len[p] = (m - l - 1) as u32 + 1;
-        let mut h = mem.ihash[i];
-        h[p] = h_append(h_pop_back(h[p], &buf.vals[..=l]), goto_w);
-        let mut pend = [PendRef::Keep, PendRef::Keep];
-        pend[p] = pend_p;
-        let mut dd = [DerivDesc::Keep, DerivDesc::Keep];
-        dd[p] = DerivDesc::Reduce { pops: dpops, lhs };
-        self.emit(
-            buf,
-            idx,
-            mem.cost[i] + REDUCE_COST,
-            flags | (1 << p),
-            pend,
-            op,
-            len,
-            h,
-            dd,
-        );
+        let mut h = self.mem.ihash[i];
+        h[p] = h_append(h_pop_back(h[p], &self.vals[..=l]), goto_w);
+        let flags = self.mem.flags[i];
+        let Some(n) = self.commit(i, cost, flags | (1 << p), pend, op, h) else {
+            return;
+        };
+
+        // Wrap the trailing derivation-list entries (dot markers included)
+        // in a new node of `lhs`, and append that node.
+        let mem = &mut self.mem;
+        let d = mem.dseq[n][p];
+        let pops = dlist_pops(mem, d, l, flags & (1 << p) != 0, &mut self.scratch);
+        d.read_back(&mem.dcell, pops, &mut self.vals, &mut self.scratch);
+        self.vals.reverse();
+        let off = mem.kids.extend(&self.vals);
+        let node = mem.nodes.push_node(lhs, off, pops);
+        mem.dseq[n][p] = d
+            .pop_back(&mut mem.dcell, pops, &mut self.scratch)
+            .append(&mut mem.dcell, node);
     }
 
     /// Joint transitions and forward production steps (Figure 10(a), (b)).
-    fn forward(&self, mem: &Mem, idx: u32, buf: &mut ExpandBuf) {
-        let i = idx as usize;
-        let lens = mem.ilen(i);
+    fn forward(&mut self, i: usize) {
+        let (g, graph) = (self.g, self.graph);
+        let (cost, flags, pend, h) = (
+            self.mem.cost[i],
+            self.mem.flags[i],
+            self.mem.pend[i],
+            self.mem.ihash[i],
+        );
+        let seqs = self.mem.iseq[i];
         let last = [
-            si(mem.iseq[i][0].last(&mem.icell)),
-            si(mem.iseq[i][1].last(&mem.icell)),
+            si(seqs[0].last(&self.mem.icell)),
+            si(seqs[1].last(&self.mem.icell)),
         ];
         let next = [
-            self.graph.item(last[0]).next_symbol(self.g),
-            self.graph.item(last[1]).next_symbol(self.g),
+            graph.item(last[0]).next_symbol(g),
+            graph.item(last[1]).next_symbol(g),
         ];
         if next[0] == next[1] {
             if let (Some(sym), Some(t0), Some(t1)) = (
                 next[0],
-                self.graph.transition(last[0]),
-                self.graph.transition(last[1]),
+                graph.transition(last[0]),
+                graph.transition(last[1]),
             ) {
-                let p0 = self.pending_after(mem, mem.pend[i][0], sym);
-                let p1 = self.pending_after(mem, mem.pend[i][1], sym);
+                let p0 = self.pending_after(pend[0], sym);
+                let p1 = self.pending_after(pend[1], sym);
                 if let (Some(p0), Some(p1)) = (p0, p1) {
-                    let w0 = t0.index() as u32;
-                    let w1 = t1.index() as u32;
-                    let leaf = mem.nodes.leaf(sym);
-                    let h = [h_append(mem.ihash[i][0], w0), h_append(mem.ihash[i][1], w1)];
-                    self.emit(
-                        buf,
-                        idx,
-                        mem.cost[i] + TRANSITION_COST,
-                        mem.flags[i],
-                        [PendRef::Id(p0), PendRef::Id(p1)],
-                        [ItemOp::Append(w0), ItemOp::Append(w1)],
-                        [lens[0] + 1, lens[1] + 1],
-                        h,
-                        [DerivDesc::Append(leaf), DerivDesc::Append(leaf)],
-                    );
+                    let (w0, w1) = (t0.index() as u32, t1.index() as u32);
+                    let op = [ItemOp::Append(w0), ItemOp::Append(w1)];
+                    let h = [h_append(h[0], w0), h_append(h[1], w1)];
+                    let leaf = self.mem.nodes.leaf(sym);
+                    if let Some(n) = self.commit(i, cost + TRANSITION_COST, flags, [p0, p1], op, h)
+                    {
+                        let mem = &mut self.mem;
+                        for d in &mut mem.dseq[n] {
+                            *d = d.append(&mut mem.dcell, leaf);
+                        }
+                    }
                 }
             }
         }
         for p in 0..2 {
             let Some(sym) = next[p] else { continue };
-            if self.g.kind(sym) != SymbolKind::Nonterminal {
+            if g.kind(sym) != SymbolKind::Nonterminal {
                 continue;
             }
-            for &tgt in self.graph.production_steps(last[p]) {
+            for &tgt in graph.production_steps(last[p]) {
                 let tgt = tgt.index() as u32;
-                let dup = mem.iseq[i][p].contains_memo(&mem.icell, tgt, true, &mut buf.memo);
-                let mut op = [ItemOp::Keep, ItemOp::Keep];
+                let dup = seqs[p].contains_memo(&self.mem.icell, tgt, true, &mut self.memo);
+                let mut op = [ItemOp::Keep; 2];
                 op[p] = ItemOp::Append(tgt);
-                let mut len = lens;
-                len[p] += 1;
-                let mut h = mem.ihash[i];
+                let mut h = h;
                 h[p] = h_append(h[p], tgt);
-                self.emit(
-                    buf,
-                    idx,
-                    mem.cost[i] + PRODUCTION_COST + if dup { DUPLICATE_PENALTY } else { 0 },
-                    mem.flags[i],
-                    [PendRef::Keep, PendRef::Keep],
-                    op,
-                    len,
-                    h,
-                    [DerivDesc::Keep, DerivDesc::Keep],
-                );
+                let cost = cost + PRODUCTION_COST + if dup { DUPLICATE_PENALTY } else { 0 };
+                self.commit(i, cost, flags, pend, op, h);
             }
         }
     }
 
     /// Outcome of shifting `sym` against a pending lookahead constraint:
     /// `None` = forbidden, `Some(id)` = allowed with new pending `id`.
-    fn pending_after(&self, mem: &Mem, pid: u32, sym: SymbolId) -> Option<u32> {
+    fn pending_after(&self, pid: u32, sym: SymbolId) -> Option<u32> {
         if pid == NO_PENDING {
             return Some(NO_PENDING);
         }
-        let p = mem.sets.get(pid);
+        let p = self.mem.sets.get(pid);
         match self.g.kind(sym) {
             SymbolKind::Terminal => {
                 if p.contains(self.g.tindex(sym)) {
@@ -669,7 +646,8 @@ impl Search<'_> {
     /// §5.4 completion: both item sequences have the shape
     /// `[? -> α · A β, ? -> α A · β]` over the same nonterminal `A`, with
     /// structurally distinct derivations of `A`.
-    fn completed(&self, mem: &Mem, idx: usize) -> Option<UnifyingExample> {
+    fn completed(&self, idx: usize) -> Option<UnifyingExample> {
+        let mem = &self.mem;
         if mem.ilen(idx) != [2, 2] {
             return None;
         }
@@ -705,17 +683,111 @@ impl Search<'_> {
             derivation2: mem.nodes.materialize(&mem.kids, d1),
         })
     }
+
+    /// The bucket-at-a-time main loop; see the module docs for the phase
+    /// structure (walk, then expand and commit).
+    fn run(
+        &mut self,
+        conflict: &Conflict,
+        cfg: &SearchConfig,
+        cancel: &CancelToken,
+    ) -> SearchOutcome {
+        let g = self.g;
+        let item1 = self.graph.node(conflict.state, conflict.reduce_item(g));
+        let item2 = self.graph.node(conflict.state, conflict.other_item(g));
+        let t_set = TerminalSet::singleton(g.terminal_count(), g.tindex(conflict.terminal));
+        let mem = &mut self.mem;
+        let pid = mem.sets.intern(t_set);
+
+        // The initial configuration (Figure 8). Both derivation lists share
+        // one dot cell.
+        let i1 = item1.index() as u32;
+        let i2 = item2.index() as u32;
+        let iseq0 = [
+            Seq::singleton(&mut mem.icell, i1),
+            Seq::singleton(&mut mem.icell, i2),
+        ];
+        let dot = mem.dcell.cons(DOT, NIL);
+        let dseq0 = [Seq {
+            front: NIL,
+            back: dot,
+            flen: 0,
+            blen: 1,
+        }; 2];
+        let flags = if self.rr { 0 } else { 2 };
+        let pend = [pid, if self.rr { pid } else { NO_PENDING }];
+        let h = [itemh(i1), itemh(i2)];
+        mem.cost.push(0);
+        mem.flags.push(flags);
+        mem.pend.push(pend);
+        mem.iseq.push(iseq0);
+        mem.ifirst.push([i1, i2]);
+        mem.ihash.push(h);
+        mem.dseq.push(dseq0);
+        self.visited
+            .insert_with(config_hash([1, 1], flags, h, pend), 0, |_| false);
+        self.queue.push(0, 0);
+        self.metrics.enqueued += 1;
+
+        let deadline = Instant::now() + cfg.time_limit;
+        let mut pops: u32 = 0;
+        let mut batch: Vec<u32> = Vec::new();
+        while self.queue.pop_bucket(&mut batch).is_some() {
+            // Walk phase: canonical FIFO order over the drained bucket. Every
+            // action costs at least 1, so nothing committed later this
+            // iteration could have belonged to this bucket.
+            for &idx in &batch {
+                pops += 1;
+                self.metrics.explored += 1;
+                if pops & (CANCEL_STRIDE - 1) == 0
+                    && (cancel.is_cancelled() || Instant::now() > deadline)
+                {
+                    return SearchOutcome::TimedOut;
+                }
+                #[cfg(feature = "failpoints")]
+                if let Some(action) = crate::faultpoint::hit("unify.expand") {
+                    match action {
+                        crate::faultpoint::FaultAction::Panic => {
+                            panic!("failpoint `unify.expand` injected panic")
+                        }
+                        crate::faultpoint::FaultAction::BudgetZero
+                        | crate::faultpoint::FaultAction::ClockJump => {
+                            return SearchOutcome::TimedOut
+                        }
+                    }
+                }
+                if self.mem.len() > cfg.max_configs {
+                    return SearchOutcome::TimedOut;
+                }
+                if let Some(ex) = self.completed(idx as usize) {
+                    return SearchOutcome::Unifying(Box::new(ex));
+                }
+            }
+            // Expand phase, in the same order: each successor is deduped
+            // and committed as soon as it is generated.
+            for &idx in &batch {
+                self.successors(idx as usize);
+            }
+            self.metrics.frontier_peak = self.metrics.frontier_peak.max(self.queue.len() as u64);
+        }
+        // A drained queue only proves exhaustion if nothing was cost-pruned.
+        if self.cost_pruned {
+            SearchOutcome::TimedOut
+        } else {
+            SearchOutcome::Exhausted
+        }
+    }
 }
 
-/// How many trailing derivation-list entries (dot markers included) a
-/// reduction of `l` symbols on parser `p` wraps into its new node: the
-/// children are exactly a suffix of the parent's list, found by counting
-/// entries back from the end until `l` non-dots have been seen.
-fn dlist_pops(mem: &Mem, i: usize, p: usize, l: usize, flags: u8, scratch: &mut Vec<u32>) -> u32 {
-    let ds = mem.dseq[i][p];
+/// How many trailing entries (dot markers included) of derivation list
+/// `ds` a reduction of `l` symbols wraps into its new node: the children
+/// are exactly a suffix of the list, found by counting entries back from
+/// the end until `l` non-dots have been seen. `reduced` tells whether the
+/// parser had reduced before.
+fn dlist_pops(mem: &Mem, ds: Seq, l: usize, reduced: bool, scratch: &mut Vec<u32>) -> u32 {
     if l == 0 {
         // An ε-reduction at the conflict point keeps the dot inside.
-        return if flags & (1 << p) == 0 && ds.last(&mem.dcell) == DOT {
+        return if !reduced && ds.last(&mem.dcell) == DOT {
             1
         } else {
             0
@@ -757,18 +829,18 @@ fn dlist_pops(mem: &Mem, i: usize, p: usize, l: usize, flags: u8, scratch: &mut 
     pops
 }
 
-/// Full-content check behind the merge's fingerprint equality (debug
-/// builds only): rebuild the candidate's item sequences (parent plus edit)
-/// and compare against configuration `o` cell by cell. The local
+/// Full-content check behind the commit's fingerprint equality (debug
+/// builds only): rebuild the successor's item sequences (parent plus
+/// edit) and compare against configuration `o` cell by cell. The local
 /// allocations are irrelevant off the release path.
-fn cand_items_eq(mem: &Mem, cand: &Cand, o: usize) -> bool {
+fn cand_items_eq(mem: &Mem, parent: usize, op: [ItemOp; 2], o: usize) -> bool {
     let mut scratch = Vec::new();
     let mut a = Vec::new();
     let mut b = Vec::new();
-    for p in 0..2 {
+    for (p, op) in op.into_iter().enumerate() {
         a.clear();
-        mem.iseq[cand.parent as usize][p].materialize(&mem.icell, &mut a, &mut scratch);
-        match cand.op[p] {
+        mem.iseq[parent][p].materialize(&mem.icell, &mut a, &mut scratch);
+        match op {
             ItemOp::Keep => {}
             ItemOp::Prepend(v) => a.insert(0, v),
             ItemOp::Append(v) => a.push(v),
@@ -801,29 +873,16 @@ fn single_derivation(list: &[u32]) -> Option<u32> {
     found
 }
 
-/// Runs the unifying search for one conflict.
+/// Runs the unifying search for one conflict and fills `metrics` with the
+/// explored/enqueued/deduped configuration counts, the frontier
+/// high-water mark and the arena size. The counters count *arena records*
+/// (configurations accepted into the frontier) and are deterministic for
+/// a given conflict and configuration at any worker count — one search
+/// runs on one thread and commits successors in canonical order.
 ///
 /// `slsp_states` is the set of states on the shortest lookahead-sensitive
 /// path; reverse transitions are restricted to it unless
 /// [`SearchConfig::extended`] is set (§6).
-pub fn unifying_search(
-    g: &Grammar,
-    auto: &Automaton,
-    graph: &StateGraph,
-    conflict: &Conflict,
-    slsp_states: &[StateId],
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    let mut metrics = SearchMetrics::default();
-    unifying_search_metered(g, auto, graph, conflict, slsp_states, cfg, &mut metrics)
-}
-
-/// [`unifying_search`] with observability: fills `metrics` with the
-/// explored/enqueued/deduped configuration counts and the frontier
-/// high-water mark. The counters count *arena records* (configurations
-/// accepted into the frontier) and are deterministic for a given conflict
-/// and configuration at any worker count — one search runs on one thread
-/// and merges each batch in canonical order.
 #[allow(clippy::too_many_arguments)]
 pub fn unifying_search_metered(
     g: &Grammar,
@@ -862,8 +921,7 @@ pub fn conflict_on<'a>(
 }
 
 /// [`unifying_search_metered`] under a shared [`CancelToken`]: the search
-/// polls `cancel` (plus its own wall-clock deadline) every
-/// [`SearchConfig::cancel_stride`] pops.
+/// polls `cancel` (plus its own wall-clock deadline) every 256 pops.
 ///
 /// Cancellation surfaces as [`SearchOutcome::TimedOut`]: the caller falls
 /// back to the nonunifying construction exactly as for a per-conflict
@@ -885,14 +943,12 @@ pub fn unifying_search_cancellable(
     if cfg.time_limit.is_zero() || cancel.is_cancelled() {
         return SearchOutcome::TimedOut;
     }
-    let rr = matches!(conflict.kind, ConflictKind::ReduceReduce { .. });
-    let t = conflict.terminal;
-    let search = Search {
+    let mut search = Search {
         g,
         auto,
         graph,
-        t_idx: g.tindex(t),
-        rr,
+        t_idx: g.tindex(conflict.terminal),
+        rr: matches!(conflict.kind, ConflictKind::ReduceReduce { .. }),
         allowed: if cfg.extended {
             None
         } else {
@@ -902,212 +958,19 @@ pub fn unifying_search_cancellable(
             }
             Some(set)
         },
+        max_cost: cfg.max_cost,
+        mem: Mem::new(g.symbol_count()),
+        visited: Visited::new(),
+        queue: BucketQueue::new(),
+        metrics,
+        cost_pruned: false,
+        vals: Vec::new(),
+        scratch: Vec::new(),
+        memo: FactMap::default(),
     };
-    let mut mem = Mem::new(g.symbol_count());
-    let outcome = search_loop(&search, &mut mem, conflict, cfg, cancel, metrics);
-    metrics.arena_cells += (mem.icell.len() + mem.dcell.len()) as u64;
+    let outcome = search.run(conflict, cfg, cancel);
+    search.metrics.arena_cells += (search.mem.icell.len() + search.mem.dcell.len()) as u64;
     outcome
-}
-
-/// The bucket-at-a-time main loop; see the module docs for the phase
-/// structure (walk → expand → merge).
-fn search_loop(
-    search: &Search<'_>,
-    mem: &mut Mem,
-    conflict: &Conflict,
-    cfg: &SearchConfig,
-    cancel: &CancelToken,
-    metrics: &mut SearchMetrics,
-) -> SearchOutcome {
-    let g = search.g;
-    let graph = search.graph;
-    let item1 = graph.node(conflict.state, conflict.reduce_item(g));
-    let item2 = graph.node(conflict.state, conflict.other_item(g));
-    let t_set = TerminalSet::singleton(g.terminal_count(), g.tindex(conflict.terminal));
-    let pid = mem.sets.intern(t_set);
-
-    // The initial configuration (Figure 8). Both derivation lists share
-    // one dot cell.
-    let i1 = item1.index() as u32;
-    let i2 = item2.index() as u32;
-    let iseq0 = [
-        Seq::singleton(&mut mem.icell, i1),
-        Seq::singleton(&mut mem.icell, i2),
-    ];
-    let dot = mem.dcell.cons(DOT, NIL);
-    let dseq0 = [Seq {
-        front: NIL,
-        back: dot,
-        flen: 0,
-        blen: 1,
-    }; 2];
-    mem.cost.push(0);
-    mem.flags.push(if search.rr { 0 } else { 2 });
-    mem.pend
-        .push([pid, if search.rr { pid } else { NO_PENDING }]);
-    mem.iseq.push(iseq0);
-    mem.ifirst.push([i1, i2]);
-    mem.ihash.push([itemh(i1), itemh(i2)]);
-    mem.dseq.push(dseq0);
-
-    let mut visited = Visited::new();
-    let mut queue = BucketQueue::new();
-    {
-        let h = cand_hash([1, 1], mem.flags[0], mem.ihash[0]);
-        let h = mix(mix(h, mem.pend[0][0] as u64), mem.pend[0][1] as u64);
-        visited.insert_with(h, 0, |_| false);
-    }
-    queue.push(0, 0);
-    metrics.enqueued += 1;
-
-    let deadline = Instant::now() + cfg.time_limit;
-    // Stride mask: poll when `pops & mask == 0`. Rounded up to a power of
-    // two so the check is one AND instead of a division.
-    let mask = cfg.cancel_stride.max(1).next_power_of_two() - 1;
-    let mut pops: u32 = 0;
-    let mut cost_pruned = false;
-    let mut batch: Vec<u32> = Vec::new();
-    let mut buf = ExpandBuf::default();
-    // Merge-phase scratch (cell walks and popped derivation children).
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut popped: Vec<u32> = Vec::new();
-
-    while queue.pop_bucket(&mut batch).is_some() {
-        // Walk phase: canonical FIFO order over the drained bucket. Every
-        // action costs at least 1, so nothing merged later this iteration
-        // could have belonged to this bucket.
-        for &idx in &batch {
-            pops += 1;
-            metrics.explored += 1;
-            if pops & mask == 0 && (cancel.is_cancelled() || Instant::now() > deadline) {
-                return SearchOutcome::TimedOut;
-            }
-            #[cfg(feature = "failpoints")]
-            if let Some(action) = crate::faultpoint::hit("unify.expand") {
-                match action {
-                    crate::faultpoint::FaultAction::Panic => {
-                        panic!("failpoint `unify.expand` injected panic")
-                    }
-                    crate::faultpoint::FaultAction::BudgetZero
-                    | crate::faultpoint::FaultAction::ClockJump => return SearchOutcome::TimedOut,
-                }
-            }
-            if mem.len() > cfg.max_configs {
-                return SearchOutcome::TimedOut;
-            }
-            if let Some(ex) = search.completed(mem, idx as usize) {
-                return SearchOutcome::Unifying(Box::new(ex));
-            }
-        }
-
-        // Expand phase: side-effect-free, reads the arenas only.
-        buf.clear();
-        for &idx in &batch {
-            search.successors(mem, idx, &mut buf);
-        }
-
-        // Merge phase: canonical batch order — dedup, intern, and commit
-        // accepted candidates to the arenas.
-        for cand in &buf.cands {
-            if cand.cost > cfg.max_cost {
-                cost_pruned = true;
-                continue;
-            }
-            let parent = cand.parent as usize;
-            let mut pend = [0u32; 2];
-            for (p, out) in pend.iter_mut().enumerate() {
-                *out = match cand.pend[p] {
-                    PendRef::Keep => mem.pend[parent][p],
-                    PendRef::Id(x) => x,
-                    PendRef::New(slot) => mem.sets.intern_ref(&buf.new_sets[slot as usize]),
-                };
-            }
-            let h = mix(mix(cand.hash, pend[0] as u64), pend[1] as u64);
-            let new_idx = mem.len() as u32;
-            let (flags, len) = (cand.flags, cand.len);
-            // Dedup identity: flags, pending ids, and lengths compare
-            // exactly; item content compares by the two per-parser
-            // 64-bit positional hashes (a 128-bit fingerprint — for a
-            // false merge one parser's polynomial hash must collide at
-            // equal length, ~2^-64 per pair). Debug builds verify the
-            // fingerprint against the actual cells.
-            let inserted = visited.insert_with(h, new_idx, |other| {
-                let o = other as usize;
-                let eq = mem.flags[o] == flags
-                    && mem.pend[o] == pend
-                    && mem.ilen(o) == len
-                    && mem.ihash[o] == cand.h;
-                debug_assert!(
-                    !eq || cand_items_eq(mem, cand, o),
-                    "positional-hash fingerprint collision"
-                );
-                eq
-            });
-            if !inserted {
-                metrics.deduped += 1;
-                continue;
-            }
-            // Commit: copy the parent's persistent sequences and apply
-            // the edits — the only point where cells are allocated, so
-            // cell ids follow the canonical merge order.
-            let mut iseq = mem.iseq[parent];
-            let mut ifirst = mem.ifirst[parent];
-            for p in 0..2 {
-                match cand.op[p] {
-                    ItemOp::Keep => {}
-                    ItemOp::Prepend(v) => {
-                        iseq[p] = iseq[p].prepend(&mut mem.icell, v);
-                        ifirst[p] = v;
-                    }
-                    ItemOp::Append(v) => {
-                        iseq[p] = iseq[p].append(&mut mem.icell, v);
-                    }
-                    ItemOp::Reduce { pops, goto_item } => {
-                        iseq[p] = iseq[p]
-                            .pop_back(&mut mem.icell, pops, &mut scratch)
-                            .append(&mut mem.icell, goto_item);
-                    }
-                }
-            }
-            let mut dseq = mem.dseq[parent];
-            for (p, d) in dseq.iter_mut().enumerate() {
-                match cand.dd[p] {
-                    DerivDesc::Keep => {}
-                    DerivDesc::Prepend(leaf) => {
-                        *d = d.prepend(&mut mem.dcell, leaf);
-                    }
-                    DerivDesc::Append(leaf) => {
-                        *d = d.append(&mut mem.dcell, leaf);
-                    }
-                    DerivDesc::Reduce { pops, lhs } => {
-                        d.read_back(&mem.dcell, pops, &mut popped, &mut scratch);
-                        popped.reverse();
-                        let off = mem.kids.extend(&popped);
-                        let node = mem.nodes.push_node(lhs, off, pops);
-                        *d = d
-                            .pop_back(&mut mem.dcell, pops, &mut scratch)
-                            .append(&mut mem.dcell, node);
-                    }
-                }
-            }
-            mem.cost.push(cand.cost);
-            mem.flags.push(flags);
-            mem.pend.push(pend);
-            mem.iseq.push(iseq);
-            mem.ifirst.push(ifirst);
-            mem.ihash.push(cand.h);
-            mem.dseq.push(dseq);
-            queue.push(cand.cost, new_idx);
-            metrics.enqueued += 1;
-        }
-        metrics.frontier_peak = metrics.frontier_peak.max(queue.len() as u64);
-    }
-    // A drained queue only proves exhaustion if nothing was cost-pruned.
-    if cost_pruned {
-        SearchOutcome::TimedOut
-    } else {
-        SearchOutcome::Exhausted
-    }
 }
 
 #[cfg(test)]
@@ -1146,7 +1009,15 @@ mod tests {
         let target = graph.node(c.state, c.reduce_item(g));
         let path = lssi::shortest_path(g, &auto, &graph, target, g.tindex(c.terminal)).unwrap();
         let states = lssi::states_of_path(&graph, &path);
-        unifying_search(g, &auto, &graph, c, &states, cfg)
+        unifying_search_metered(
+            g,
+            &auto,
+            &graph,
+            c,
+            &states,
+            cfg,
+            &mut SearchMetrics::default(),
+        )
     }
 
     #[test]
@@ -1307,26 +1178,6 @@ mod tests {
         let out = run_conflict_cancellable(&g, "else", &SearchConfig::default(), &cancel, &mut m);
         assert!(matches!(out, SearchOutcome::TimedOut), "{out:?}");
         assert_eq!(m.explored, 0, "cancelled before the first pop");
-    }
-
-    #[test]
-    fn stride_does_not_change_search_counters() {
-        // The stride only changes *when* the clock is consulted, never the
-        // order of expansion: counters are identical for stride 1 and 256.
-        let g = figure1();
-        let mut counters = Vec::new();
-        for stride in [1u32, 256] {
-            let cancel = CancelToken::new();
-            let cfg = SearchConfig {
-                cancel_stride: stride,
-                ..SearchConfig::default()
-            };
-            let mut m = SearchMetrics::default();
-            let out = run_conflict_cancellable(&g, "digit", &cfg, &cancel, &mut m);
-            assert!(matches!(out, SearchOutcome::Unifying(_)), "{out:?}");
-            counters.push((m.explored, m.enqueued, m.deduped, m.frontier_peak));
-        }
-        assert_eq!(counters[0], counters[1]);
     }
 
     #[test]

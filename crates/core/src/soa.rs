@@ -95,9 +95,9 @@ pub const NIL: u32 = u32::MAX;
 
 /// An append-only arena of immutable cons cells `(val, next)`.
 ///
-/// Cells are only created at initialization and during the sequential
-/// merge phase, so the arena's contents are identical at any worker
-/// count.
+/// Cells are only created at initialization and when the search commits
+/// a new successor, in its canonical order, so the arena's contents are
+/// identical at any worker count.
 #[derive(Default)]
 pub struct CellArena {
     val: Vec<u32>,
@@ -597,23 +597,11 @@ impl SetInterner {
         SetInterner::default()
     }
 
-    /// Interns by reference, cloning only on first sight.
-    pub fn intern_ref(&mut self, s: &TerminalSet) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        self.insert(s.clone())
-    }
-
-    /// Interns an owned set.
+    /// Interns a set; the first sight of a set takes the next id.
     pub fn intern(&mut self, s: TerminalSet) -> u32 {
         if let Some(&id) = self.map.get(&s) {
             return id;
         }
-        self.insert(s)
-    }
-
-    fn insert(&mut self, s: TerminalSet) -> u32 {
         let id = self.sets.len() as u32;
         self.sets.push(s.clone());
         self.map.insert(s, id);
@@ -646,8 +634,8 @@ pub const COST_RING: usize = 16;
 ///
 /// Because every search action costs at least 1, a popped bucket never
 /// receives new entries while it is being processed: the search can take
-/// the *entire* current-cost bucket as one batch, expand it against the
-/// read-only arenas, and merge the results in the bucket's FIFO order.
+/// the *entire* current-cost bucket as one batch and expand it in the
+/// bucket's FIFO order.
 pub struct BucketQueue {
     buckets: Vec<Vec<u32>>,
     cur: u32,
@@ -991,9 +979,9 @@ mod tests {
         assert!(it.is_empty());
         let a = TerminalSet::singleton(10, 1);
         let b = TerminalSet::singleton(10, 2);
-        assert_eq!(it.intern_ref(&a), 0);
-        assert_eq!(it.intern_ref(&b), 1);
-        assert_eq!(it.intern_ref(&a), 0, "re-interning is stable");
+        assert_eq!(it.intern(a.clone()), 0);
+        assert_eq!(it.intern(b.clone()), 1);
+        assert_eq!(it.intern(a), 0, "re-interning is stable");
         assert_eq!(it.get(1), &b);
         assert_eq!(it.len(), 2);
     }

@@ -35,7 +35,7 @@ pub struct SearchMetrics {
     /// visited (the §5.2 dedup).
     pub deduped: u64,
     /// High-water mark of the frontier (pending arena records), sampled
-    /// after each cost-bucket merge.
+    /// after each cost bucket is expanded.
     pub frontier_peak: u64,
     /// Total `u32` cells appended to the item-sequence and derivation-list
     /// pools — the arena footprint behind the record counts. Deterministic.

@@ -70,6 +70,13 @@ if [[ "$quick" -eq 0 ]]; then
     echo "verify_large smoke failed: $last" >&2
     exit 1
   fi
+
+  echo "==> corpus_cex ledger (every pinned report hash and explored count)"
+  last=$(bash perfbench/run.sh --workload corpus_cex --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  if [[ "$last" != *'"correct": true'* || "$last" != *'"failed": 0'* ]]; then
+    echo "corpus_cex ledger check failed: $last" >&2
+    exit 1
+  fi
 fi
 
 echo "==> benchmark self-tests (generator, ledger, metric names)"

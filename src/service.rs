@@ -457,21 +457,17 @@ fn handle_analyze<W: Write>(
     req: &Json,
     cancel: CancelToken,
     deadline: Option<Instant>,
-) {
+) -> (Json, bool) {
     shared.counters.analyze.fetch_add(1, Ordering::Relaxed);
     let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
-        shared.respond(
+        return (
             error_response(Some(id), "protocol", "analyze requires a `grammar` string"),
             false,
         );
-        return;
     };
     let format = match request_format(req) {
         Ok(f) => f,
-        Err(bad) => {
-            shared.respond(unsupported_format_response(Some(id), &bad), false);
-            return;
-        }
+        Err(bad) => return (unsupported_format_response(Some(id), &bad), false),
     };
     let source = GrammarSource::new(grammar, format);
     let request =
@@ -530,17 +526,13 @@ fn handle_analyze<W: Write>(
                 )
                 .push("report", reply.to_json())
                 .build();
-            shared.respond(response, true);
+            (response, true)
         }
-        Ok(Err(e)) => {
-            shared.respond(error_response(Some(id), e.kind(), &e.to_string()), false);
-        }
-        Err(e) => {
-            shared.respond(
-                error_response(Some(id), "internal", &Error::Engine(e).to_string()),
-                false,
-            );
-        }
+        Ok(Err(e)) => (error_response(Some(id), e.kind(), &e.to_string()), false),
+        Err(e) => (
+            error_response(Some(id), "internal", &Error::Engine(e).to_string()),
+            false,
+        ),
     }
 }
 
@@ -550,21 +542,17 @@ fn handle_explain<W: Write>(
     req: &Json,
     cancel: CancelToken,
     deadline: Option<Instant>,
-) {
+) -> (Json, bool) {
     shared.counters.explain.fetch_add(1, Ordering::Relaxed);
     let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
-        shared.respond(
+        return (
             error_response(Some(id), "protocol", "explain requires a `grammar` string"),
             false,
         );
-        return;
     };
     let format = match request_format(req) {
         Ok(f) => f,
-        Err(bad) => {
-            shared.respond(unsupported_format_response(Some(id), &bad), false);
-            return;
-        }
+        Err(bad) => return (unsupported_format_response(Some(id), &bad), false),
     };
     let source = GrammarSource::new(grammar, format);
     let request =
@@ -631,35 +619,32 @@ fn handle_explain<W: Write>(
                 )
                 .push("report", reply.to_json())
                 .build();
-            shared.respond(response, true);
+            (response, true)
         }
-        Ok(Err(e)) => {
-            shared.respond(error_response(Some(id), e.kind(), &e.to_string()), false);
-        }
-        Err(e) => {
-            shared.respond(
-                error_response(Some(id), "internal", &Error::Engine(e).to_string()),
-                false,
-            );
-        }
+        Ok(Err(e)) => (error_response(Some(id), e.kind(), &e.to_string()), false),
+        Err(e) => (
+            error_response(Some(id), "internal", &Error::Engine(e).to_string()),
+            false,
+        ),
     }
 }
 
-fn handle_lint<W: Write>(shared: &Shared<W>, id: &str, req: &Json, deadline: Option<Instant>) {
+fn handle_lint<W: Write>(
+    shared: &Shared<W>,
+    id: &str,
+    req: &Json,
+    deadline: Option<Instant>,
+) -> (Json, bool) {
     shared.counters.lint.fetch_add(1, Ordering::Relaxed);
     let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
-        shared.respond(
+        return (
             error_response(Some(id), "protocol", "lint requires a `grammar` string"),
             false,
         );
-        return;
     };
     let format = match request_format(req) {
         Ok(f) => f,
-        Err(bad) => {
-            shared.respond(unsupported_format_response(Some(id), &bad), false);
-            return;
-        }
+        Err(bad) => return (unsupported_format_response(Some(id), &bad), false),
     };
     let source = GrammarSource::new(grammar, format);
     let mut outcome = contain("serve.request", || {
@@ -699,17 +684,13 @@ fn handle_lint<W: Write>(shared: &Shared<W>, id: &str, req: &Json, deadline: Opt
                 )
                 .push("worst", worst)
                 .build();
-            shared.respond(response, true);
+            (response, true)
         }
-        Ok(Err(e)) => {
-            shared.respond(error_response(Some(id), e.kind(), &e.to_string()), false);
-        }
-        Err(e) => {
-            shared.respond(
-                error_response(Some(id), "internal", &Error::Engine(e).to_string()),
-                false,
-            );
-        }
+        Ok(Err(e)) => (error_response(Some(id), e.kind(), &e.to_string()), false),
+        Err(e) => (
+            error_response(Some(id), "internal", &Error::Engine(e).to_string()),
+            false,
+        ),
     }
 }
 
@@ -1027,13 +1008,17 @@ pub fn serve<R: BufRead, W: Write + Send>(
                         inflight.insert(id.clone(), cancel.clone());
                     }
                     let shared = &shared;
+                    // The id leaves the in-flight map before the response
+                    // is written, so a `stats` read after the response
+                    // never counts a request that has already answered.
                     scope.spawn(move || {
-                        match op.as_str() {
+                        let (response, ok) = match op.as_str() {
                             "analyze" => handle_analyze(shared, &id, &req, cancel, deadline),
                             "explain" => handle_explain(shared, &id, &req, cancel, deadline),
                             _ => handle_lint(shared, &id, &req, deadline),
-                        }
+                        };
                         shared.lock_inflight().remove(&id);
+                        shared.respond(response, ok);
                     });
                 }
                 "cancel" => handle_cancel(&shared, &id, &req),

@@ -666,6 +666,28 @@ fn overload_sheds_at_admission_with_retry_hint() {
     assert!(summary.shutdown);
 }
 
+/// A worker takes its id out of the in-flight map before it writes the
+/// response, so a `stats` read sent once the response has arrived never
+/// still counts that request.
+#[test]
+fn stats_after_a_response_counts_nothing_in_flight() {
+    let h = Harness::start(ServeOptions::default());
+    for i in 0..50 {
+        h.send(&analyze_line(&format!("a{i}"), "%% e : 'a' ;", ""));
+        h.wait_responses(2 * i + 1);
+        h.send(&format!(r#"{{"op":"stats","id":"s{i}"}}"#));
+        let rs = h.wait_responses(2 * i + 2);
+        let stats = by_id(&rs, &format!("s{i}"));
+        assert_eq!(
+            stats.get("inflight").and_then(Json::as_u64),
+            Some(0),
+            "stats read after response {i}"
+        );
+    }
+    h.send(r#"{"op":"shutdown","id":"z"}"#);
+    assert!(h.finish().1.shutdown);
+}
+
 /// A writer that starts failing on demand — the in-process stand-in for a
 /// peer that hung up (EPIPE on write).
 #[derive(Clone)]
