@@ -1,9 +1,10 @@
 //! The grammar-keyed engine cache.
 //!
 //! The engine's precomputation — LALR automaton, resolved tables, the
-//! lazily built state-item graph, spine memo — is pure in the grammar
-//! text, so a long-lived process (the `lalrcex serve` service, the `batch`
-//! driver, or any embedder using [`crate::Engine`] repeatedly) can key
+//! lazily built state-item graph, the spine, provenance and lint-probe
+//! memos — is pure in the grammar text, so a long-lived process (the
+//! `lalrcex serve` service, the `batch` driver, or any embedder using
+//! [`crate::Engine`] repeatedly) can key
 //! built engines by a content hash of the text and skip construction
 //! entirely when the same grammar comes back: the interactive edit /
 //! re-run / read loop the paper frames (§1), where a reverted edit or a
@@ -13,12 +14,21 @@
 //! text (entries also keep the text itself, so a hash collision is
 //! detected and treated as an eviction, never a wrong answer). Eviction is
 //! *byte-budget-aware*: every entry is charged
-//! [`Engine::estimated_bytes`] — re-sampled on each hit, because the spine
-//! memo grows as conflicts are analyzed and the state-item graph is built
-//! on first use — and the least-recently-used
+//! [`Engine::estimated_bytes`] — re-sampled on each hit, because the memos
+//! grow as conflicts are analyzed and lints probed, and the state-item
+//! graph is built on first use — and the least-recently-used
 //! entries are dropped until the total fits the budget. The most recently
 //! touched entry is never evicted, so one grammar larger than the whole
 //! budget still caches (and simply pins the cache to itself).
+//!
+//! The cache is also *scan-resistant*: an entry is marked reused on its
+//! first hit, and at most [`MAX_UNREUSED`] entries that were never hit stay
+//! resident — inserting one more evicts the least recently used of them
+//! (each counted as an eviction). A stream of one-shot grammars therefore
+//! displaces only other one-shots, never the reused working set, and
+//! cannot park hundreds of MiB of never-reused engines under a generous
+//! byte budget. The bound needs no option: it counts entries, not bytes,
+//! so it cannot thrash a working set whose entries outgrow a byte share.
 //!
 //! Concurrency: the cache's lock covers only lookup, insertion, and
 //! accounting. Engines are handed out as `Arc<CachedEngine>`, so two
@@ -36,6 +46,9 @@ use lalrcex_grammar::{Grammar, GrammarError};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::stats::PrecomputeTimes;
+
+/// How many never-hit entries may stay resident (see the module docs).
+pub const MAX_UNREUSED: usize = 32;
 
 /// 64-bit FNV-1a over the grammar text: the cache key.
 pub fn content_hash(text: &str) -> u64 {
@@ -212,6 +225,9 @@ struct Entry {
     tag: u8,
     bytes: usize,
     last_used: u64,
+    /// Set on the entry's first hit; never-reused entries are bounded
+    /// by [`MAX_UNREUSED`].
+    reused: bool,
 }
 
 struct Inner {
@@ -284,10 +300,11 @@ impl EngineCache {
             if let Some(e) = inner.map.get_mut(&key) {
                 if e.tag == tag && e.engine.text() == text {
                     e.last_used = tick;
+                    e.reused = true;
                     let engine = Arc::clone(&e.engine);
-                    // The spine memo grows as conflicts are analyzed:
-                    // re-sample the entry's charge so eviction decisions
-                    // see the real footprint.
+                    // The memos grow as conflicts are analyzed and lints
+                    // probed: re-sample the entry's charge so eviction
+                    // decisions see the real footprint.
                     let bytes = engine.engine().estimated_bytes();
                     let old = e.bytes;
                     e.bytes = bytes;
@@ -321,14 +338,39 @@ impl EngineCache {
                 tag,
                 bytes,
                 last_used: tick,
+                reused: false,
             },
         ) {
             inner.live_bytes -= displaced.bytes;
         }
         inner.live_bytes += bytes;
+        self.evict_unreused(&mut inner, key);
         self.evict_over_budget(&mut inner, key);
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((engine, false))
+    }
+
+    /// Drops the least recently used never-hit entries until at most
+    /// [`MAX_UNREUSED`] remain. `keep` (the entry just inserted) counts
+    /// toward the bound but is never evicted.
+    fn evict_unreused(&self, inner: &mut Inner, keep: u64) {
+        let mut unreused: Vec<(u64, u64)> = inner
+            .map
+            .iter()
+            .filter(|(k, e)| !e.reused && **k != keep)
+            .map(|(k, e)| (e.last_used, *k))
+            .collect();
+        let excess = (unreused.len() + 1).saturating_sub(MAX_UNREUSED);
+        if excess == 0 {
+            return;
+        }
+        unreused.sort_unstable();
+        for &(_, victim) in &unreused[..excess] {
+            if let Some(e) = inner.map.remove(&victim) {
+                inner.live_bytes -= e.bytes;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Drops least-recently-used entries until the charged total fits the
@@ -517,6 +559,34 @@ mod tests {
         assert!(expr_hit, "recently-used survives");
         let (_, expr2_hit) = tight.get_or_build(EXPR2).unwrap();
         assert!(!expr2_hit, "least-recently-used was evicted");
+    }
+
+    #[test]
+    fn one_shot_scans_evict_only_one_shots_oldest_first() {
+        let cache = EngineCache::with_budget_bytes(usize::MAX);
+        let one_shot = |i: usize| format!("%% s : 't{i}' ;");
+        cache.get_or_build(EXPR).unwrap();
+        cache.get_or_build(EXPR).unwrap(); // EXPR is reused
+        for i in 0..40 {
+            cache.get_or_build(&one_shot(i)).unwrap();
+        }
+        let s = cache.stats();
+        assert_eq!(s.entries, MAX_UNREUSED + 1, "the one-shots plus EXPR");
+        assert_eq!(s.evictions, (40 - MAX_UNREUSED) as u64);
+        let (_, hit) = cache.get_or_build(EXPR).unwrap();
+        assert!(hit, "the reused grammar survives the scan");
+        for i in 40 - MAX_UNREUSED..40 {
+            assert!(
+                cache.evict_text(&one_shot(i)),
+                "newest one-shot {i} resident"
+            );
+        }
+        for i in 0..40 - MAX_UNREUSED {
+            assert!(
+                !cache.evict_text(&one_shot(i)),
+                "oldest one-shot {i} evicted"
+            );
+        }
     }
 
     #[test]

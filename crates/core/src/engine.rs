@@ -9,7 +9,10 @@
 //! terminal)`: conflicts that share a reduce item under the same lookahead
 //! (common in reduce/reduce clusters and the conflict storms of Java.2)
 //! reuse one spine search for both the unifying-search pruning set and the
-//! nonunifying construction.
+//! nonunifying construction. The lint engine's precedence-resolution probes
+//! ([`Engine::probe_resolution`]) are memoized the same way, keyed by the
+//! resolution and its node budget, so a warm engine answers a repeated lint
+//! without searching again.
 //!
 //! Per-conflict work — the product-parser unifying search (§5) and the
 //! nonunifying construction — fans out across a [`std::thread::scope`]
@@ -26,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use lalrcex_grammar::{Analysis, Grammar};
+use lalrcex_grammar::{Analysis, Derivation, Grammar, ProdId, SymbolId};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, Resolution, StateId, Tables};
 
 use crate::cancel::CancelToken;
@@ -65,7 +68,12 @@ pub struct Engine<'g> {
     precompute: PrecomputeTimes,
     memo: Mutex<HashMap<(StateItemId, usize), Arc<Spine>>>,
     prov: Mutex<Option<Arc<GrammarProvenance>>>,
+    probes: Mutex<HashMap<ProbeKey, ResolutionProbe>>,
 }
+
+/// The probe memo key: the resolution (state, terminal, reduce production)
+/// and the node budget it was probed under.
+type ProbeKey = (StateId, SymbolId, ProdId, usize);
 
 /// A read-only view of every conflict-independent fact the engine built for
 /// a grammar — the *fact-sharing seam* between the conflict search and
@@ -87,7 +95,7 @@ pub struct Facts<'e> {
 
 /// The outcome of replaying a precedence-resolved conflict through the
 /// unifying search (see [`Engine::probe_resolution`]).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum ResolutionProbe {
     /// The silenced conflict is a genuine ambiguity: here is the proof.
     Ambiguous(Box<UnifyingExample>),
@@ -103,6 +111,16 @@ pub enum ResolutionProbe {
     /// The probe faulted internally; the fault was contained at the probe
     /// boundary, so the remaining resolutions still get probed.
     Internal(EngineError),
+}
+
+/// The bytes charged for a derivation tree: one [`Derivation`] per node,
+/// leaves and dot markers included.
+fn derivation_bytes(d: &Derivation) -> usize {
+    let children = match d {
+        Derivation::Node(_, children) => children.iter().map(derivation_bytes).sum(),
+        Derivation::Leaf(_) | Derivation::Dot => 0,
+    };
+    std::mem::size_of::<Derivation>() + children
 }
 
 /// The worker-pool size implied by a configured worker count: `0` means
@@ -145,6 +163,7 @@ impl<'g> Engine<'g> {
             precompute,
             memo: Mutex::new(HashMap::new()),
             prov: Mutex::new(None),
+            probes: Mutex::new(HashMap::new()),
         }
     }
 
@@ -221,8 +240,9 @@ impl<'g> Engine<'g> {
     /// per kernel item and one `Follow` row per goto, which closure items
     /// share), state transitions, the relation edges, the sparse parse
     /// table rows, the state-item graph once built, and the current spine
-    /// memo and provenance. Not an allocator truth: it feeds the
-    /// [`crate::cache::EngineCache`] byte-budget eviction.
+    /// memo, provenance and probe memo (a fixed cost per probe, plus the
+    /// derivation trees of an `Ambiguous` one). Not an allocator truth: it
+    /// feeds the [`crate::cache::EngineCache`] byte-budget eviction.
     pub fn estimated_bytes(&self) -> usize {
         let tset_bytes = self.g.terminal_count().div_ceil(8) + 24;
         let rel = self.auto.relations();
@@ -250,6 +270,14 @@ impl<'g> Engine<'g> {
         let prov = self.prov.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(p) = prov.as_ref() {
             bytes += p.estimated_bytes();
+        }
+        drop(prov);
+        let probes = self.probes.lock().unwrap_or_else(PoisonError::into_inner);
+        for probe in probes.values() {
+            bytes += 64;
+            if let ResolutionProbe::Ambiguous(ex) = probe {
+                bytes += derivation_bytes(&ex.derivation1) + derivation_bytes(&ex.derivation2);
+            }
         }
         bytes
     }
@@ -323,14 +351,45 @@ impl<'g> Engine<'g> {
     /// search under a *deterministic* node budget (`max_configs`; no time
     /// limit, so two runs give byte-identical answers on any machine).
     ///
-    /// The spine comes from the same memo the real conflict searches use,
-    /// so probing the resolutions of a grammar whose surviving conflicts
-    /// were already analyzed is nearly free of precomputation.
+    /// The answer is a pure function of the grammar, the resolution and
+    /// `max_configs`, so it is memoized per engine under that key, like the
+    /// spine memo: a repeat probe at the same budget is served without
+    /// searching (and without reaching the `lint.probe` fault-injection
+    /// probe). [`ResolutionProbe::Internal`] is never memoized, so a
+    /// contained fault is retried on the next call. The spine comes from
+    /// the same memo the real conflict searches use, so probing the
+    /// resolutions of a grammar whose surviving conflicts were already
+    /// analyzed is nearly free of precomputation.
     ///
     /// This powers the lint engine's *conflict-masking* pass: a resolution
     /// whose probe returns [`ResolutionProbe::Ambiguous`] silenced a
     /// conflict that a counterexample search proves genuinely ambiguous.
     pub fn probe_resolution(&self, res: &Resolution, max_configs: usize) -> ResolutionProbe {
+        let key = (res.state, res.terminal, res.reduce_prod, max_configs);
+        // Poison recovery and compute-outside-the-lock as for the spine
+        // memo: entries are complete before insertion, and racing probes of
+        // one key compute identical answers.
+        if let Some(p) = self
+            .probes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return p.clone();
+        }
+        let probe = self.probe_uncached(res, max_configs);
+        if !matches!(probe, ResolutionProbe::Internal(_)) {
+            self.probes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_insert_with(|| probe.clone());
+        }
+        probe
+    }
+
+    /// [`Engine::probe_resolution`] without the memo.
+    fn probe_uncached(&self, res: &Resolution, max_configs: usize) -> ResolutionProbe {
         let Some(conflict) = self.resolved_conflict(res) else {
             return ResolutionProbe::NotProbed;
         };

@@ -277,6 +277,24 @@ mod tests {
     }
 
     #[test]
+    fn masking_probes_are_charged_to_the_engine() {
+        let g = Grammar::parse("%left '+' %% e : e '+' e | NUM ;").unwrap();
+        let engine = Engine::new(&g);
+        // Build every other memoized layer first, so only the probe memo
+        // can move the charge.
+        let res = engine.tables().resolutions()[0];
+        engine.spine(&engine.resolved_conflict(&res).unwrap());
+        engine.provenance().unwrap();
+        let before = engine.estimated_bytes();
+        let diags = Linter::new().run(&engine);
+        assert!(diags.iter().any(|d| d.code.id == "L009"));
+        let after = engine.estimated_bytes();
+        assert!(after > before, "probe memo charged: {before} -> {after}");
+        assert_eq!(Linter::new().run(&engine), diags);
+        assert_eq!(engine.estimated_bytes(), after, "a warm lint adds nothing");
+    }
+
+    #[test]
     fn worst_severity_orders() {
         let g = Grammar::parse("%% s : 'x' ; dead : loopy ; loopy : loopy 'y' ;").unwrap();
         let diags = lint(&g);

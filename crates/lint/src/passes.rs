@@ -508,7 +508,9 @@ impl LintPass for UnusedPrecedence {
 /// `L009` — precedence resolutions that silenced a conflict whose
 /// counterexample search proves genuine ambiguity. One representative
 /// resolution is probed per silenced reduce production, through the
-/// engine's spine memo and a deterministic node budget.
+/// engine's spine memo and a deterministic node budget. The engine
+/// memoizes each probe per budget, so linting a warm engine again runs
+/// no search.
 struct ConflictMasking;
 
 impl LintPass for ConflictMasking {

@@ -77,6 +77,13 @@ if [[ "$quick" -eq 0 ]]; then
     echo "corpus_cex ledger check failed: $last" >&2
     exit 1
   fi
+
+  echo "==> serve_mixed smoke (every warm analyze/explain/lint reply equals a cold run)"
+  last=$(bash perfbench/run.sh --workload serve_mixed --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  if [[ "$last" != *'"correct": true'* || "$last" != *'"failed": 0'* ]]; then
+    echo "serve_mixed smoke failed: $last" >&2
+    exit 1
+  fi
 fi
 
 echo "==> benchmark self-tests (generator, ledger, metric names)"

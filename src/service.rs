@@ -34,9 +34,10 @@
 //! [`crate::api::report_document`]); `explain` responses embed the same
 //! document with a `provenance` classification block on every conflict
 //! and resolution (see [`crate::api::explain_document`]); `lint`
-//! responses embed the same diagnostic objects as
-//! `lalrcex lint --format json`. The `stats` response lists per-cache-
-//! entry byte breakdowns (total charge and the provenance share),
+//! responses embed the `diagnostics` array `lalrcex lint --format json`
+//! writes (one writer, [`lalrcex_lint::render_json`]). The `stats`
+//! response lists per-cache-entry byte breakdowns (total charge and the
+//! provenance share),
 //! re-sampled at snapshot time so lazily built data is visible, each
 //! entry's build time per layer (`precompute_ms`: LR(0), lookaheads,
 //! tables, state graph), and the supervision counters; `health` is a
@@ -109,7 +110,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use lalrcex_core::{contain, CancelToken, PrecomputeTimes};
-use lalrcex_lint::{Diagnostic, Severity};
+use lalrcex_lint::Severity;
 
 use crate::api::json::{self, obj, Json};
 use crate::api::{AnalysisRequest, Error, GrammarFormat, GrammarSource, Session};
@@ -295,29 +296,6 @@ fn too_large_response(id: &str, actual: usize, limit: usize) -> Json {
                 .build(),
         )
         .build()
-}
-
-/// One lint diagnostic as JSON — the same member shape
-/// `lalrcex lint --format json` emits.
-fn diagnostic_json(d: &Diagnostic) -> Json {
-    let mut b = obj()
-        .push("id", Json::str(d.code.id))
-        .push("name", Json::str(d.code.name))
-        .push("severity", Json::str(d.severity.label()))
-        .push("message", Json::str(&d.message))
-        .push("line", d.span.map_or(Json::Null, |s| Json::num(s.line)));
-    let related: Vec<Json> = d
-        .related
-        .iter()
-        .map(|r| {
-            obj()
-                .push("message", Json::str(&r.message))
-                .push("line", r.span.map_or(Json::Null, |s| Json::num(s.line)))
-                .build()
-        })
-        .collect();
-    b = b.push("related", Json::Arr(related));
-    b.build()
 }
 
 /// How one bounded line read ended.
@@ -664,6 +642,16 @@ fn handle_lint<W: Write>(
     }
     match outcome {
         Ok(Ok(reply)) => {
+            let doc = lalrcex_lint::render_json("", &reply.diagnostics);
+            let Some(diagnostics) = json::parse(&doc)
+                .ok()
+                .and_then(|d| d.get("diagnostics").cloned())
+            else {
+                return (
+                    error_response(Some(id), "internal", "lint JSON did not parse"),
+                    false,
+                );
+            };
             let expired = note_expiry(shared, deadline);
             let worst = reply
                 .diagnostics
@@ -678,10 +666,7 @@ fn handle_lint<W: Write>(
                     Json::str(if reply.cache_hit { "hit" } else { "miss" }),
                 )
                 .push("deadline_expired", Json::Bool(expired))
-                .push(
-                    "diagnostics",
-                    Json::Arr(reply.diagnostics.iter().map(diagnostic_json).collect()),
-                )
+                .push("diagnostics", diagnostics)
                 .push("worst", worst)
                 .build();
             (response, true)

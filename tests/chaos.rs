@@ -265,6 +265,32 @@ fn lint_probe_contains_its_fault() {
     }
 }
 
+/// A clean probe is memoized per budget: a `lint.probe` trigger installed
+/// after it never fires on a repeat at the same `max_configs` (the memo
+/// answers without probing), but does fire at a different budget.
+#[test]
+fn memoized_lint_probe_skips_the_fault_point() {
+    use lalrcex::core::engine::ResolutionProbe;
+
+    let g = Grammar::parse("%left '+' %% e : e '+' e | NUM ;").unwrap();
+    let engine = Engine::new(&g);
+    let res = engine.tables().resolutions()[0];
+    {
+        let _guard = install(FaultPlan::new());
+        let clean = engine.probe_resolution(&res, 1 << 16);
+        assert!(matches!(clean, ResolutionProbe::Ambiguous(_)), "{clean:?}");
+    }
+    let _guard = install(FaultPlan::new().trigger(NO_SCOPE, "lint.probe", 1, FaultAction::Panic));
+    match engine.probe_resolution(&res, 1 << 16) {
+        ResolutionProbe::Ambiguous(_) => {}
+        other => panic!("expected the memoized Ambiguous, got {other:?}"),
+    }
+    match engine.probe_resolution(&res, 1 << 15) {
+        ResolutionProbe::Internal(e) => assert_eq!(e.phase, "lint.probe"),
+        other => panic!("expected the trigger to fire at a new budget, got {other:?}"),
+    }
+}
+
 /// Property sweep: PRNG-seeded single-trigger plans over the
 /// per-conflict-deterministic probes. For every seed, (a) both worker
 /// counts return one report per conflict, (b) the two runs are

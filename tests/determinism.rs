@@ -280,6 +280,39 @@ fn explain_is_deterministic_across_workers_and_cache_state() {
     assert!(one.contains("== conflict #0 ==") && !one.contains("== conflict #1 =="));
 }
 
+/// A warm `Session::lint` (engine and L009 probes served from the cache)
+/// renders the same JSON bytes as a cold `Linter` run on a fresh engine.
+#[test]
+fn warm_lint_matches_a_cold_linter() {
+    use lalrcex::lint::{render_json, Linter};
+    use lalrcex::Session;
+
+    let eqn = lalrcex::corpus::by_name("eqn")
+        .expect("corpus entry")
+        .text();
+    // eqn's masking probes prove nothing; `%left '+'` masks an ambiguity.
+    for (text, code) in [
+        (eqn.as_ref(), "L011"),
+        ("%left '+' %% e : e '+' e | NUM ;", "L009"),
+    ] {
+        let cold = render_json(
+            "g.y",
+            &Linter::new().run_grammar(&Grammar::parse(text).unwrap()),
+        );
+        assert!(cold.contains(code), "{cold}");
+        let session = Session::new();
+        for round in 0..2 {
+            let reply = session.lint(text).expect("lint");
+            assert_eq!(reply.cache_hit, round == 1);
+            assert_eq!(
+                render_json("g.y", &reply.diagnostics),
+                cold,
+                "round {round}"
+            );
+        }
+    }
+}
+
 /// Every deterministic counter of one unifying search per conflict of
 /// corpus grammar `name` (or only its conflict number `only`), in
 /// conflict-table order: `[explored, enqueued, deduped, frontier_peak,

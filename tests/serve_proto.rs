@@ -325,6 +325,51 @@ fn small_cache_budget_evicts_lru() {
     );
 }
 
+/// Under an unlimited budget, a stream of one-shot grammars keeps at most
+/// `MAX_UNREUSED` never-hit engines resident, evicting the oldest first,
+/// and never displaces a grammar that was hit.
+#[test]
+fn one_shot_grammars_cannot_flush_a_reused_entry() {
+    use lalrcex::core::cache::MAX_UNREUSED;
+
+    let h = Harness::start(ServeOptions {
+        cache_mb: 0,
+        ..ServeOptions::default()
+    });
+    let reused = corpus_text("figure1");
+    let one_shot = |i: usize| format!("%% s : 't{i}' ;");
+    let mut sent = 0;
+    let mut send = |line: String| {
+        h.send(&line);
+        sent += 1;
+        h.wait_responses(sent);
+    };
+    send(analyze_line("a1", &reused, ""));
+    send(analyze_line("a2", &reused, ""));
+    for i in 0..40 {
+        send(analyze_line(&format!("n{i}"), &one_shot(i), ""));
+    }
+    send(r#"{"op":"stats","id":"s"}"#.to_owned());
+    send(analyze_line("a3", &reused, ""));
+    send(analyze_line("newest", &one_shot(39), ""));
+    send(analyze_line("oldest", &one_shot(0), ""));
+    let (rs, _) = h.finish();
+
+    let cache = by_id(&rs, "s").get("cache").unwrap();
+    let entries = cache.get("entries").and_then(Json::as_u64).unwrap();
+    let evictions = cache.get("evictions").and_then(Json::as_u64).unwrap();
+    assert_eq!(
+        entries,
+        MAX_UNREUSED as u64 + 1,
+        "the one-shots plus figure1"
+    );
+    assert_eq!(evictions, 40 - MAX_UNREUSED as u64);
+    let cache_of = |id| by_id(&rs, id).get("cache").and_then(Json::as_str);
+    assert_eq!(cache_of("a3"), Some("hit"), "the reused grammar survives");
+    assert_eq!(cache_of("newest"), Some("hit"), "recent one-shots stay");
+    assert_eq!(cache_of("oldest"), Some("miss"), "the oldest went first");
+}
+
 /// `cancel` stops an in-flight analysis: the target's response arrives
 /// with `cancelled:true` (and stub conflict entries), the cancel request
 /// itself reports `found:true`, and the loop keeps serving.
