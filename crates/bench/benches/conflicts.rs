@@ -18,12 +18,13 @@
 //!
 //! Filter with `cargo bench -- NAME` (substring match on `group/bench`).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lalrcex_baselines::{amber, filtered};
 use lalrcex_bench::micro::{Group, MicroConfig};
 use lalrcex_core::{
-    lssi, unifying_search_metered, Analyzer, CexConfig, SearchConfig, SearchMetrics, StateGraph,
+    lssi, unifying_search_metered, CancelToken, CexConfig, Engine, SearchConfig, SearchMetrics,
+    StateGraph,
 };
 use lalrcex_lr::Automaton;
 
@@ -77,10 +78,12 @@ fn full_conflict(cfg: MicroConfig, filter: Option<String>) {
     for name in ["figure1", "eqn", "SQL.1", "Pascal.3", "C.1", "Java.1"] {
         let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
         group.bench(name, || {
-            let mut analyzer = Analyzer::new(&g);
-            let conflict = analyzer.tables().conflicts()[0];
-            analyzer
-                .analyze_conflict(&conflict, &CexConfig::default())
+            let engine = Engine::new(&g);
+            let conflict = engine.tables().conflicts()[0];
+            let cfg = CexConfig::default();
+            let deadline = Instant::now() + cfg.cumulative_limit;
+            engine
+                .analyze_conflict_cancellable(&conflict, &cfg, deadline, &CancelToken::new())
                 .kind()
         });
     }
@@ -109,7 +112,6 @@ fn baseline(cfg: MicroConfig, filter: Option<String>) {
 /// lint rides on a conflict analysis that already precomputed everything.
 /// The gap is the fact-sharing win.
 fn lint_passes(cfg: MicroConfig, filter: Option<String>) {
-    use lalrcex_core::Engine;
     use lalrcex_lint::Linter;
 
     let mut group = Group::new("lint", cfg, filter);
@@ -136,10 +138,7 @@ fn lint_passes(cfg: MicroConfig, filter: Option<String>) {
 /// * `LALRCEX_BENCH_SMOKE=1` — shrink budget and samples so the check.sh
 ///   bench leg finishes in seconds.
 fn search_throughput(filter: Option<String>) {
-    use std::time::Instant;
-
     use lalrcex_bench::micro::{write_throughput_json, ThroughputRecord};
-    use lalrcex_core::Engine;
 
     let smoke = std::env::var_os("LALRCEX_BENCH_SMOKE").is_some_and(|v| v != "0");
     let budget: usize = if smoke { 20_000 } else { 200_000 };

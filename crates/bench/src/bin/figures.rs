@@ -13,18 +13,28 @@
 
 #![forbid(unsafe_code)]
 
-use lalrcex_core::{format_report, lssi, Analyzer, CexConfig};
+use std::time::Instant;
+
+use lalrcex_core::{format_report, lssi, CancelToken, CexConfig, ConflictReport, Engine};
 use lalrcex_grammar::{Derivation, Grammar};
+use lalrcex_lr::Conflict;
 
 fn figure1() -> Grammar {
     lalrcex_corpus::by_name("figure1").unwrap().load().unwrap()
 }
 
+/// One conflict's report under the default limits.
+fn analyze_one(engine: &Engine<'_>, conflict: &Conflict) -> ConflictReport {
+    let cfg = CexConfig::default();
+    let deadline = Instant::now() + cfg.cumulative_limit;
+    engine.analyze_conflict_cancellable(conflict, &cfg, deadline, &CancelToken::new())
+}
+
 fn fig2() {
     println!("=== Figure 2: selected parser states of the Figure 1 grammar ===\n");
     let g = figure1();
-    let analyzer = Analyzer::new(&g);
-    let auto = analyzer.automaton();
+    let engine = Engine::new(&g);
+    let auto = engine.automaton();
     // Walk the states along `if expr then stmt` as the figure does.
     let mut s = lalrcex_lr::StateId::START;
     println!("{}", auto.dump_state(&g, s));
@@ -42,8 +52,7 @@ fn fig3() {
     let entry = lalrcex_corpus::by_name("figure3").unwrap();
     println!("{}", entry.text());
     let g = entry.load().unwrap();
-    let mut analyzer = Analyzer::new(&g);
-    let report = analyzer.analyze_all(&CexConfig::default());
+    let report = Engine::new(&g).analyze_all(&CexConfig::default());
     for r in &report.reports {
         println!("{}", format_report(&g, r));
     }
@@ -52,24 +61,19 @@ fn fig3() {
 fn fig5() {
     println!("=== Figure 5(a): shortest lookahead-sensitive path (dangling else) ===\n");
     let g = figure1();
-    let analyzer = Analyzer::new(&g);
-    let conflict = *analyzer
+    let engine = Engine::new(&g);
+    let conflict = *engine
         .tables()
         .conflicts()
         .iter()
         .find(|c| g.display_name(c.terminal) == "else")
         .expect("dangling else");
-    let path = analyzer.shortest_path(&conflict).expect("path exists");
-    println!("{}", lssi::display_path(&g, analyzer.graph(), &path));
+    let path = engine.spine(&conflict).0.path.clone().expect("path exists");
+    println!("{}", lssi::display_path(&g, engine.graph(), &path));
     println!("=== Figure 5(b): the path to the conflict shift item ===\n");
-    let ex = lalrcex_core::nonunifying_example(
-        &g,
-        analyzer.automaton(),
-        analyzer.graph(),
-        &conflict,
-        &path,
-    )
-    .expect("nonunifying example");
+    let ex =
+        lalrcex_core::nonunifying_example(&g, engine.automaton(), engine.graph(), &conflict, &path)
+            .expect("nonunifying example");
     println!(
         "derivation using the reduce item:\n  {}",
         ex.reduce_derivation.pretty(&g)
@@ -84,8 +88,7 @@ fn fig7() {
     let entry = lalrcex_corpus::by_name("figure7").unwrap();
     println!("{}", entry.text());
     let g = entry.load().unwrap();
-    let mut analyzer = Analyzer::new(&g);
-    let report = analyzer.analyze_all(&CexConfig::default());
+    let report = Engine::new(&g).analyze_all(&CexConfig::default());
     for r in &report.reports {
         println!("{}", format_report(&g, r));
     }
@@ -107,14 +110,14 @@ fn dotted_subtree(d: &Derivation) -> Option<&Derivation> {
 fn fig9() {
     println!("=== Figure 9: search stages for the challenging conflict (§3.1) ===\n");
     let g = figure1();
-    let mut analyzer = Analyzer::new(&g);
-    let conflict = *analyzer
+    let engine = Engine::new(&g);
+    let conflict = *engine
         .tables()
         .conflicts()
         .iter()
         .find(|c| g.display_name(c.terminal) == "digit")
         .expect("challenging conflict");
-    let r = analyzer.analyze_conflict(&conflict, &CexConfig::default());
+    let r = analyze_one(&engine, &conflict);
     let u = r.unifying.as_ref().expect("unifying example found");
     println!(
         "Stage 1 — completion of the conflict reduce item:\n  {}",
@@ -143,14 +146,14 @@ fn fig9() {
 fn fig11() {
     println!("=== Figure 11: the CUP-style report for the §2.4 conflict ===\n");
     let g = figure1();
-    let mut analyzer = Analyzer::new(&g);
-    let conflict = *analyzer
+    let engine = Engine::new(&g);
+    let conflict = *engine
         .tables()
         .conflicts()
         .iter()
         .find(|c| g.display_name(c.terminal) == "+")
         .expect("expression conflict");
-    let r = analyzer.analyze_conflict(&conflict, &CexConfig::default());
+    let r = analyze_one(&engine, &conflict);
     println!("{}", format_report(&g, &r));
 }
 

@@ -8,8 +8,10 @@
 
 #![forbid(unsafe_code)]
 
+use std::time::Instant;
+
 use lalrcex_baselines::ppg;
-use lalrcex_core::{Analyzer, CexConfig};
+use lalrcex_core::{CancelToken, CexConfig, Engine};
 use lalrcex_lr::Automaton;
 
 fn main() {
@@ -39,14 +41,16 @@ fn main() {
             report.len(),
             invalid.len()
         );
-        let mut analyzer = Analyzer::new(&g);
+        let engine = Engine::new(&g);
+        let cfg = CexConfig::default();
+        let deadline = Instant::now() + cfg.cumulative_limit;
         for (c, ex, _) in invalid.iter().take(3) {
             println!(
                 "    PPG claims: {}  (reduction on {})",
                 ex.display(&g),
                 g.format_prod(c.reduce_prod)
             );
-            let r = analyzer.analyze_conflict(c, &CexConfig::default());
+            let r = engine.analyze_conflict_cancellable(c, &cfg, deadline, &CancelToken::new());
             if let Some(u) = &r.unifying {
                 println!("    ours:       {}", u.derivation1.flat(&g));
             } else if let Some(n) = &r.nonunifying {

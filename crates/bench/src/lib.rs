@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use lalrcex_baselines::amber::Budget;
 use lalrcex_baselines::filtered::{self, FilteredOutcome};
-use lalrcex_core::{Analyzer, CexConfig, ExampleKind, SearchConfig};
+use lalrcex_core::{CexConfig, Engine, ExampleKind, SearchConfig};
 use lalrcex_corpus::CorpusEntry;
 
 /// Everything measured for one Table 1 row.
@@ -77,13 +77,12 @@ impl Row {
 /// Runs the counterexample engine on one corpus entry.
 pub fn run_entry(entry: &CorpusEntry, cfg: &CexConfig) -> Row {
     let g = entry.load().expect("corpus grammars parse");
-    let mut analyzer = Analyzer::new(&g);
-    let states = analyzer.automaton().state_count();
-    let report = analyzer.analyze_all(cfg);
+    let engine = Engine::new(&g);
+    let states = engine.automaton().state_count();
+    let report = engine.analyze_all(cfg);
     // Classification is pure precomputation (no search budget involved);
     // a contained fault degrades the columns to zero rather than the row.
-    let (counts, lr1_states, provenance_time) = analyzer
-        .engine()
+    let (counts, lr1_states, provenance_time) = engine
         .provenance()
         .map(|p| (p.counts(), p.lr1_states, p.compute_time))
         .unwrap_or_default();

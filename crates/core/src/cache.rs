@@ -10,6 +10,10 @@
 //! re-run / read loop the paper frames (§1), where a reverted edit or a
 //! repeated query would otherwise pay the full automaton build again.
 //!
+//! Each entry is a [`CachedEngine`]: an engine that owns the grammar it
+//! parsed ([`Engine::try_new`]) next to the text it was parsed from, so an
+//! entry is one self-contained value that borrows nothing.
+//!
 //! [`EngineCache`] is an LRU keyed by a 64-bit FNV-1a hash of the grammar
 //! text (entries also keep the text itself, so a hash collision is
 //! detected and treated as an eviction, never a wrong answer). Eviction is
@@ -75,17 +79,11 @@ pub fn tagged_hash(tag: u8, text: &str) -> u64 {
     h
 }
 
-/// A grammar together with the engine built from it, as one owned,
-/// shareable unit (the cache's value type).
-///
-/// [`Engine`] borrows its grammar, so an owned pairing is necessarily
-/// self-referential: the grammar lives in a private `Box` that is never
-/// moved, exposed mutably, or dropped while the engine field is alive.
+/// An engine that owns the grammar it was built from, together with the
+/// text that grammar was parsed from, as one shareable unit (the cache's
+/// value type).
 pub struct CachedEngine {
-    // Field order is load-bearing: fields drop in declaration order, so
-    // the engine (which borrows `grammar`) is dropped first.
     engine: Engine<'static>,
-    grammar: Box<Grammar>,
     text: Box<str>,
 }
 
@@ -99,13 +97,9 @@ impl fmt::Debug for CachedEngine {
 }
 
 impl CachedEngine {
-    /// Parses `text` and builds the engine, with the precomputation
-    /// contained (a panic while building reports as a structured
-    /// [`EngineError`] instead of unwinding).
-    // The crate denies `unsafe_code`; this is its single exception: a
-    // self-referential owned pairing (the engine borrows the boxed grammar
-    // beside it) has no safe spelling without an external crate.
-    #[allow(unsafe_code)]
+    /// Parses `text` and builds an engine owning the parsed grammar, with
+    /// the precomputation contained (a panic while building reports as a
+    /// structured [`EngineError`] instead of unwinding).
     pub fn build(text: &str) -> Result<CachedEngine, BuildError> {
         CachedEngine::build_with(text, Grammar::parse)
     }
@@ -115,20 +109,12 @@ impl CachedEngine {
     /// cache's purity argument only needs the *pairing* of text and engine
     /// to be consistent, which holding the parse output next to its input
     /// text preserves for any deterministic `parse`.
-    #[allow(unsafe_code)]
     pub fn build_with(
         text: &str,
         parse: impl FnOnce(&str) -> Result<Grammar, GrammarError>,
     ) -> Result<CachedEngine, BuildError> {
-        let grammar = Box::new(parse(text)?);
-        // SAFETY: the referent is heap-allocated behind `grammar`, which is
-        // private, never exposed mutably, never moved out of, and — by
-        // field declaration order — outlives `engine` within this struct.
-        let g: &'static Grammar = unsafe { &*std::ptr::from_ref::<Grammar>(&*grammar) };
-        let engine = Engine::try_new(g)?;
         Ok(CachedEngine {
-            engine,
-            grammar,
+            engine: Engine::try_new(parse(text)?)?,
             text: text.into(),
         })
     }
@@ -138,9 +124,9 @@ impl CachedEngine {
         &self.engine
     }
 
-    /// The parsed grammar.
+    /// The parsed grammar (owned by the engine).
     pub fn grammar(&self) -> &Grammar {
-        &self.grammar
+        self.engine.grammar()
     }
 
     /// The exact text this entry was built from.
@@ -475,7 +461,7 @@ impl EngineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::CexConfig;
+    use crate::report::{format_report, CexConfig};
 
     const FIG1: &str = "%start stmt
         %%
@@ -501,13 +487,24 @@ mod tests {
 
     #[test]
     fn cached_engine_analyzes_like_a_fresh_one() {
+        // The cached engine owns its grammar; the fresh one borrows it.
         let cache = EngineCache::with_budget_mb(64);
-        let (cached, _) = cache.get_or_build(EXPR).unwrap();
-        let warm = cached.engine().analyze_all(&CexConfig::default());
-        let g = Grammar::parse(EXPR).unwrap();
-        let cold = Engine::new(&g).analyze_all(&CexConfig::default());
-        assert_eq!(warm.unifying_count(), cold.unifying_count());
-        assert_eq!(warm.reports.len(), cold.reports.len());
+        for text in [FIG1, EXPR] {
+            let (cached, _) = cache.get_or_build(text).unwrap();
+            let owned = cached.engine().analyze_all(&CexConfig::default());
+            let g = Grammar::parse(text).unwrap();
+            let borrowed = Engine::new(&g).analyze_all(&CexConfig::default());
+            assert_eq!(owned.unifying_count(), borrowed.unifying_count());
+            assert_eq!(owned.reports.len(), borrowed.reports.len());
+            assert!(!owned.reports.is_empty(), "{text} has conflicts");
+            for (a, b) in owned.reports.iter().zip(&borrowed.reports) {
+                assert_eq!(
+                    format_report(cached.grammar(), a),
+                    format_report(&g, b),
+                    "{text}: byte-identical report"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! Per-conflict work — the product-parser unifying search (§5) and the
 //! nonunifying construction — fans out across a [`std::thread::scope`]
-//! worker pool. A deadline-aware scheduler enforces both limits of §6:
+//! worker pool (a single worker runs on the calling thread). A deadline-aware scheduler enforces both limits of §6:
 //! each conflict's search runs under `min(time_limit, remaining grammar
 //! budget)`, and once the grammar-wide `cumulative_limit` is exhausted the
 //! remaining conflicts skip the expensive search but still receive their
@@ -24,9 +24,10 @@
 //! table order, so for runs where no limit fires the output is
 //! byte-identical whatever the worker count.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use lalrcex_grammar::{Analysis, Derivation, Grammar, ProdId, SymbolId};
@@ -58,8 +59,11 @@ pub struct Spine {
 
 /// The per-grammar engine: conflict-independent state built once, then
 /// shared read-only by every per-conflict search (and every worker).
+///
+/// The engine borrows its grammar ([`Engine::new`]) or owns it
+/// ([`Engine::try_new`], which the engine cache builds its entries with).
 pub struct Engine<'g> {
-    g: &'g Grammar,
+    g: Cow<'g, Grammar>,
     auto: Automaton,
     tables: Tables,
     /// The state-item graph and its build time, built on first use.
@@ -145,9 +149,13 @@ impl<'g> Engine<'g> {
     /// tables — with an empty spine memo. The state-item graph waits for
     /// its first use ([`Engine::graph`]).
     pub fn new(g: &'g Grammar) -> Engine<'g> {
-        let auto = Automaton::build(g);
+        Engine::build(Cow::Borrowed(g))
+    }
+
+    fn build(g: Cow<'g, Grammar>) -> Engine<'g> {
+        let auto = Automaton::build(&g);
         let t0 = Instant::now();
-        let tables = auto.tables(g);
+        let tables = auto.tables(&g);
         let (lr0, lookaheads) = auto.build_times();
         let precompute = PrecomputeTimes {
             lr0,
@@ -167,17 +175,17 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// [`Engine::new`] with the precomputation contained: a panic while
-    /// building the automaton or tables is caught at
-    /// this boundary and reported as a structured [`EngineError`] (phase
-    /// `"precompute"`) instead of unwinding into the caller.
-    pub fn try_new(g: &'g Grammar) -> Result<Engine<'g>, EngineError> {
-        contain("precompute", || Engine::new(g))
+    /// An engine that owns `g`, with the precomputation contained: a panic
+    /// while building the automaton or tables is caught at this boundary
+    /// and reported as a structured [`EngineError`] (phase `"precompute"`)
+    /// instead of unwinding into the caller.
+    pub fn try_new(g: Grammar) -> Result<Engine<'static>, EngineError> {
+        contain("precompute", || Engine::build(Cow::Owned(g)))
     }
 
     /// The grammar this engine was built for.
-    pub fn grammar(&self) -> &'g Grammar {
-        self.g
+    pub fn grammar(&self) -> &Grammar {
+        &self.g
     }
 
     /// The LALR automaton.
@@ -202,7 +210,7 @@ impl<'g> Engine<'g> {
             .get_or_init(|| {
                 crate::fail_point!("state_graph.build");
                 let t = Instant::now();
-                let graph = StateGraph::build(self.g, &self.auto);
+                let graph = StateGraph::build(&self.g, &self.auto);
                 (graph, t.elapsed())
             })
             .0
@@ -219,7 +227,7 @@ impl<'g> Engine<'g> {
     /// that wants the precomputation without re-running it).
     pub fn facts(&self) -> Facts<'_> {
         Facts {
-            grammar: self.g,
+            grammar: &self.g,
             analysis: self.auto.analysis(),
             automaton: &self.auto,
             tables: &self.tables,
@@ -320,7 +328,7 @@ impl<'g> Engine<'g> {
         // work rather than blocking; whichever insert wins is identical).
         let computed = contain("provenance.compute", || {
             crate::fail_point!("provenance.compute");
-            provenance::compute(self.g, &self.auto, &self.tables)
+            provenance::compute(&self.g, &self.auto, &self.tables)
         })
         .map(Arc::new)?;
         let mut slot = self.prov.lock().unwrap_or_else(PoisonError::into_inner);
@@ -338,7 +346,7 @@ impl<'g> Engine<'g> {
             .items()
             .iter()
             .copied()
-            .find(|it| it.next_symbol(self.g) == Some(res.terminal))?;
+            .find(|it| it.next_symbol(&self.g) == Some(res.terminal))?;
         Some(Conflict {
             state: res.state,
             terminal: res.terminal,
@@ -412,7 +420,7 @@ impl<'g> Engine<'g> {
             };
             let mut metrics = crate::stats::SearchMetrics::default();
             match unifying_search_cancellable(
-                self.g,
+                &self.g,
                 &self.auto,
                 self.graph(),
                 &conflict,
@@ -435,7 +443,7 @@ impl<'g> Engine<'g> {
     pub fn spine(&self, conflict: &Conflict) -> (Arc<Spine>, bool) {
         let graph = self.graph();
         let key = (
-            graph.node(conflict.state, conflict.reduce_item(self.g)),
+            graph.node(conflict.state, conflict.reduce_item(&self.g)),
             self.g.tindex(conflict.terminal),
         );
         // Poison recovery: a panic contained elsewhere may have poisoned
@@ -453,7 +461,7 @@ impl<'g> Engine<'g> {
         // but the search is deterministic, so whichever insert wins the
         // entry is identical and nothing blocks behind a long search.
         let (path, nodes_expanded) =
-            lssi::shortest_path_metered(self.g, &self.auto, graph, key.0, key.1);
+            lssi::shortest_path_metered(&self.g, &self.auto, graph, key.0, key.1);
         let states = path
             .as_deref()
             .map(|p| lssi::states_of_path(graph, p))
@@ -473,22 +481,10 @@ impl<'g> Engine<'g> {
         (entry, false)
     }
 
-    /// Diagnoses one conflict under a grammar-wide deadline: the unifying
-    /// search gets `min(per-conflict time_limit, time until deadline)`; a
-    /// deadline already in the past skips the search entirely but still
-    /// constructs the cheap nonunifying counterexample.
-    pub fn analyze_conflict_with_deadline(
-        &self,
-        conflict: &Conflict,
-        cfg: &CexConfig,
-        deadline: Instant,
-    ) -> ConflictReport {
-        self.analyze_conflict_cancellable(conflict, cfg, deadline, &CancelToken::new())
-    }
-
-    /// [`Engine::analyze_conflict_with_deadline`] under a shared
-    /// [`CancelToken`], with every phase contained at its boundary
-    /// (DESIGN.md "Failure domains & degradation ladder"):
+    /// Diagnoses one conflict under a grammar-wide deadline and a shared
+    /// [`CancelToken`]: the unifying search gets `min(per-conflict
+    /// time_limit, time until deadline)`. Every phase is contained at its
+    /// boundary (DESIGN.md "Failure domains & degradation ladder"):
     ///
     /// * a panic in the **spine** phase faults the whole slot (nothing
     ///   downstream can run without the spine);
@@ -552,7 +548,7 @@ impl<'g> Engine<'g> {
             let t1 = Instant::now();
             let outcome = contain("unifying", || {
                 unifying_search_cancellable(
-                    self.g,
+                    &self.g,
                     &self.auto,
                     self.graph(),
                     conflict,
@@ -582,7 +578,7 @@ impl<'g> Engine<'g> {
         } else {
             match contain("nonunifying", || {
                 spine.path.as_deref().and_then(|p| {
-                    nonunifying_example(self.g, &self.auto, self.graph(), conflict, p)
+                    nonunifying_example(&self.g, &self.auto, self.graph(), conflict, p)
                 })
             }) {
                 Ok(n) => n,
@@ -610,15 +606,7 @@ impl<'g> Engine<'g> {
 
     /// Analyzes every conflict with the full `cumulative_limit` budget.
     pub fn analyze_all(&self, cfg: &CexConfig) -> GrammarReport {
-        self.analyze_all_budgeted(cfg, cfg.cumulative_limit)
-    }
-
-    /// [`Engine::analyze_all`] with an explicit remaining grammar budget
-    /// (the [`crate::Analyzer`] wrapper passes what is left of its
-    /// cumulative accounting).
-    pub fn analyze_all_budgeted(&self, cfg: &CexConfig, budget: Duration) -> GrammarReport {
-        let cancel = CancelToken::new();
-        self.analyze_all_cancellable(cfg, budget, &cancel)
+        self.analyze_all_cancellable(cfg, cfg.cumulative_limit, &CancelToken::new())
     }
 
     /// A stub report filling the slot of a conflict whose diagnosis never
@@ -634,12 +622,12 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// [`Engine::analyze_all_budgeted`] under an external [`CancelToken`]:
-    /// a cancel stops every worker at its next check and
-    /// stubs unstarted conflicts with [`ExampleKind::Cancelled`] reports,
-    /// so the grammar report always has one entry per conflict. Per-conflict
-    /// work is tagged with its conflict-slot scope for the deterministic
-    /// fault-injection probes (`crate::faultpoint`).
+    /// Analyzes every conflict under a grammar-wide `budget` and an
+    /// external [`CancelToken`]: a cancel stops every worker at its next
+    /// check and stubs unstarted conflicts with [`ExampleKind::Cancelled`]
+    /// reports, so the grammar report always has one entry per conflict.
+    /// Per-conflict work is tagged with its conflict-slot scope for the
+    /// deterministic fault-injection probes (`crate::faultpoint`).
     pub fn analyze_all_cancellable(
         &self,
         cfg: &CexConfig,
@@ -647,61 +635,42 @@ impl<'g> Engine<'g> {
         cancel: &CancelToken,
     ) -> GrammarReport {
         let started = Instant::now();
-        let conflicts: Vec<Conflict> = self.tables.conflicts().to_vec();
-        let n = conflicts.len();
+        let conflicts = self.tables.conflicts();
         let deadline = started + budget;
-        let workers = resolve_workers(cfg.workers, n);
+        let workers = resolve_workers(cfg.workers, conflicts.len());
 
-        let mut slots: Vec<Option<ConflictReport>> = (0..n).map(|_| None).collect();
-        if workers <= 1 || n <= 1 {
-            for (i, c) in conflicts.iter().enumerate() {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                slots[i] = Some(crate::faultpoint::with_scope(i as u64, || {
+        // Per-conflict fan-out, work-stealing by atomic index: cheap, and
+        // each report lands in its conflict's slot, so the report order is
+        // deterministic regardless of scheduling. Each search stays on the
+        // worker that claimed it; one worker runs on the calling thread.
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<ConflictReport>> =
+            conflicts.iter().map(|_| OnceLock::new()).collect();
+        let work = || {
+            while !cancel.is_cancelled() {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(c) = conflicts.get(i) else { break };
+                let report = crate::faultpoint::with_scope(i as u64, || {
                     self.analyze_conflict_cancellable(c, cfg, deadline, cancel)
-                }));
+                });
+                let _ = slots[i].set(report);
             }
+        };
+        if workers == 1 {
+            work();
         } else {
-            // Per-conflict fan-out, work-stealing by atomic index: cheap,
-            // and conflict order is restored by slot index on collection,
-            // so the report order is deterministic regardless of
-            // scheduling. Each search stays on the worker that claimed it.
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, ConflictReport)>();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let conflicts = &conflicts;
-                    scope.spawn(move || loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let report = crate::faultpoint::with_scope(i as u64, || {
-                            self.analyze_conflict_cancellable(&conflicts[i], cfg, deadline, cancel)
-                        });
-                        if tx.send((i, report)).is_err() {
-                            break;
-                        }
-                    });
+                    scope.spawn(work);
                 }
             });
-            drop(tx);
-            for (i, report) in rx {
-                slots[i] = Some(report);
-            }
         }
         // Cancellation may leave unstarted slots: stub them so the
         // report still carries one entry per conflict.
         let reports: Vec<ConflictReport> = slots
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| Self::cancelled_stub(&conflicts[i])))
+            .zip(conflicts)
+            .map(|(slot, c)| slot.into_inner().unwrap_or_else(|| Self::cancelled_stub(c)))
             .collect();
 
         // Sampled after the fan-out, so a graph built by the first

@@ -36,9 +36,7 @@
 //! parser search ([`unifying_search_metered`]), and nonunifying construction
 //! ([`nonunifying_example`]).
 
-// `deny` rather than `forbid`: the engine cache's self-referential
-// grammar/engine pairing (cache.rs) needs one scoped, documented `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod cancel;
@@ -68,8 +66,8 @@ pub use provenance::{
     ResolutionProvenance,
 };
 pub use report::{
-    display_item_cup, format_report, Analyzer, CexConfig, ConflictOutcome, ConflictReport,
-    ExampleKind, GrammarReport,
+    display_item_cup, format_report, CexConfig, ConflictOutcome, ConflictReport, ExampleKind,
+    GrammarReport,
 };
 pub use search::{
     conflict_on, unifying_search_cancellable, unifying_search_metered, SearchConfig, SearchOutcome,

@@ -1,17 +1,14 @@
-//! Top-level driver: analyze a grammar's conflicts and format reports in
-//! the style of the paper's Figure 11.
+//! What the engine reports for a grammar's conflicts, and the text
+//! rendering of one report in the style of the paper's Figure 11.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lalrcex_grammar::{Derivation, Grammar};
-use lalrcex_lr::{Automaton, Conflict, ConflictKind, Item, Tables};
+use lalrcex_lr::{Conflict, ConflictKind, Item};
 
-use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::lssi::LsNode;
 use crate::nonunifying::NonunifyingExample;
 use crate::search::{SearchConfig, UnifyingExample};
-use crate::state_graph::StateGraph;
 use crate::stats::{GrammarStats, SearchStats};
 
 /// Configuration for the whole counterexample run.
@@ -23,7 +20,7 @@ pub struct CexConfig {
     /// grammar; once exceeded, only nonunifying counterexamples are built
     /// (§6: two minutes in the paper's implementation).
     pub cumulative_limit: Duration,
-    /// Worker threads for [`Analyzer::analyze_all`] / [`Engine::analyze_all`].
+    /// Worker threads for the conflict fan-out of [`crate::Engine::analyze_all`].
     /// `0` (the default) resolves to one worker per available CPU; the
     /// effective count is clamped to the number of conflicts.
     pub workers: usize,
@@ -165,85 +162,6 @@ impl GrammarReport {
             .iter()
             .filter(|r| r.kind() == Some(ExampleKind::Cancelled))
             .count()
-    }
-}
-
-/// Reusable per-grammar analysis state: a thin stateful wrapper over
-/// [`Engine`] that tracks the cumulative time budget (§6) across repeated
-/// `analyze_conflict` calls.
-pub struct Analyzer<'g> {
-    engine: Engine<'g>,
-    spent: Duration,
-}
-
-impl<'g> Analyzer<'g> {
-    /// Builds the automaton, tables, and lookup tables for `g`.
-    pub fn new(g: &'g Grammar) -> Analyzer<'g> {
-        Analyzer {
-            engine: Engine::new(g),
-            spent: Duration::ZERO,
-        }
-    }
-
-    /// The underlying conflict-independent engine.
-    pub fn engine(&self) -> &Engine<'g> {
-        &self.engine
-    }
-
-    /// The LALR automaton.
-    pub fn automaton(&self) -> &Automaton {
-        self.engine.automaton()
-    }
-
-    /// The resolved parse tables (with the conflict list).
-    pub fn tables(&self) -> &Tables {
-        self.engine.tables()
-    }
-
-    /// The state-item graph.
-    pub fn graph(&self) -> &StateGraph {
-        self.engine.graph()
-    }
-
-    /// The shortest lookahead-sensitive path for a conflict (also exposed
-    /// for the Figure 5 reproduction). Served from the engine's spine memo.
-    pub fn shortest_path(&self, conflict: &Conflict) -> Option<Vec<LsNode>> {
-        self.engine.spine(conflict).0.path.clone()
-    }
-
-    /// Produces the counterexample report for one conflict, charging the
-    /// time spent against the cumulative budget.
-    pub fn analyze_conflict(&mut self, conflict: &Conflict, cfg: &CexConfig) -> ConflictReport {
-        let remaining = cfg.cumulative_limit.saturating_sub(self.spent);
-        let deadline = Instant::now() + remaining;
-        let r = self
-            .engine
-            .analyze_conflict_with_deadline(conflict, cfg, deadline);
-        self.spent += r.elapsed;
-        r
-    }
-
-    /// Analyzes every conflict of the grammar, fanning the per-conflict
-    /// searches across `cfg.workers` threads (see [`Engine::analyze_all`]).
-    pub fn analyze_all(&mut self, cfg: &CexConfig) -> GrammarReport {
-        let cancel = crate::cancel::CancelToken::new();
-        self.analyze_all_cancellable(cfg, &cancel)
-    }
-
-    /// [`Analyzer::analyze_all`] under an external
-    /// [`CancelToken`](crate::cancel::CancelToken): a cancel stops
-    /// in-flight searches at their next stride poll
-    /// and stubs unstarted conflicts with [`ExampleKind::Cancelled`]
-    /// reports, so the report still has one entry per conflict.
-    pub fn analyze_all_cancellable(
-        &mut self,
-        cfg: &CexConfig,
-        cancel: &crate::cancel::CancelToken,
-    ) -> GrammarReport {
-        let budget = cfg.cumulative_limit.saturating_sub(self.spent);
-        let report = self.engine.analyze_all_cancellable(cfg, budget, cancel);
-        self.spent += report.reports.iter().map(|r| r.elapsed).sum::<Duration>();
-        report
     }
 }
 

@@ -977,8 +977,8 @@ pub fn unifying_search_cancellable(
 mod tests {
     use super::*;
     use crate::lssi;
+    use crate::report::CexConfig;
     use crate::report::ExampleKind;
-    use crate::report::{Analyzer, CexConfig};
     use crate::state_graph::StateGraph;
     use crate::validate::unifying_consistent;
     use crate::Engine;
@@ -1184,8 +1184,7 @@ mod tests {
     fn analyzer_reports_all_figure1_conflicts_unifying() {
         // Table 1 row figure1: 3 conflicts, 3 unifying.
         let g = figure1();
-        let mut an = Analyzer::new(&g);
-        let report = an.analyze_all(&CexConfig::default());
+        let report = Engine::new(&g).analyze_all(&CexConfig::default());
         assert_eq!(report.reports.len(), 3);
         assert_eq!(report.unifying_count(), 3);
         assert_eq!(report.exhausted_count(), 0);
@@ -1195,12 +1194,11 @@ mod tests {
     #[test]
     fn cumulative_budget_skips_search() {
         let g = figure1();
-        let mut an = Analyzer::new(&g);
         let cfg = CexConfig {
             cumulative_limit: Duration::ZERO,
             ..CexConfig::default()
         };
-        let report = an.analyze_all(&cfg);
+        let report = Engine::new(&g).analyze_all(&cfg);
         assert_eq!(report.unifying_count(), 0);
         assert!(report
             .reports

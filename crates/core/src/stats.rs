@@ -122,7 +122,7 @@ pub struct GrammarStats {
     pub cpu_time: Duration,
     /// Engine-cache hits, cumulative for the session that produced this
     /// run. Zero when no [`crate::cache::EngineCache`] is in front of the
-    /// engine (direct `Engine`/`Analyzer` runs). Filled by the session
+    /// engine (direct `Engine` runs). Filled by the session
     /// layer, not by `absorb`.
     pub cache_hits: u64,
     /// Engine-cache misses (engines actually built); see [`Self::cache_hits`].

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use lalrcex_core::engine::ResolutionProbe;
 use lalrcex_core::{
-    unifying_search_metered, Analyzer, CexConfig, Engine, ExampleKind, SearchConfig, SearchMetrics,
-    SearchOutcome,
+    unifying_search_metered, CancelToken, CexConfig, Engine, ExampleKind, SearchConfig,
+    SearchMetrics, SearchOutcome,
 };
 use lalrcex_grammar::Grammar;
 
@@ -96,8 +96,7 @@ fn zero_time_limit_reports_stay_complete() {
         },
         ..CexConfig::default()
     };
-    let mut analyzer = Analyzer::new(&g);
-    let report = analyzer.analyze_all(&cfg);
+    let report = Engine::new(&g).analyze_all(&cfg);
     assert_eq!(report.reports.len(), 3, "one report per conflict");
     for r in &report.reports {
         assert_eq!(r.kind(), Some(ExampleKind::NonunifyingTimeout));
@@ -113,7 +112,7 @@ fn past_deadline_skips_search_but_keeps_fallback() {
     let cfg = CexConfig::default();
     let past = Instant::now() - Duration::from_secs(1);
     for c in engine.tables().conflicts() {
-        let r = engine.analyze_conflict_with_deadline(c, &cfg, past);
+        let r = engine.analyze_conflict_cancellable(c, &cfg, past, &CancelToken::new());
         assert_eq!(r.kind(), Some(ExampleKind::NonunifyingSkipped));
         assert!(r.nonunifying.is_some());
         assert_eq!(r.stats.search.explored, 0, "search must not start");

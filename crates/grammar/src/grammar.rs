@@ -91,6 +91,7 @@ impl Production {
     }
 }
 
+#[derive(Clone)]
 struct SymbolInfo {
     name: String,
     kind: SymbolKind,
@@ -180,6 +181,7 @@ impl std::error::Error for GrammarError {}
 /// is *augmented*: a fresh start symbol `$accept` with the single production
 /// `$accept -> start` is production 0, and the end-of-input terminal `$end`
 /// is [`SymbolId::EOF`].
+#[derive(Clone)]
 pub struct Grammar {
     symbols: Vec<SymbolInfo>,
     by_name: HashMap<String, SymbolId>,

@@ -188,14 +188,6 @@ impl Linter {
         }
     }
 
-    /// An empty registry (for tools that hand-pick passes).
-    pub fn empty(cfg: LintConfig) -> Linter {
-        Linter {
-            passes: Vec::new(),
-            cfg,
-        }
-    }
-
     /// Registers an additional pass.
     pub fn register(&mut self, pass: Box<dyn LintPass>) -> &mut Self {
         self.passes.push(pass);

@@ -7,7 +7,9 @@
 //! ambiguity with the independent Earley oracle — the end-to-end pipeline
 //! a grammar author would run in CI.
 
-use lalrcex::core::{Analyzer, CexConfig, ExampleKind};
+use std::time::Instant;
+
+use lalrcex::core::{CancelToken, CexConfig, Engine, ExampleKind};
 use lalrcex::earley::forest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,14 +25,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         entry.paper.productions,
     );
 
-    let mut analyzer = Analyzer::new(&g);
-    let conflicts: Vec<_> = analyzer.tables().conflicts().to_vec();
+    let engine = Engine::new(&g);
+    let conflicts = engine.tables().conflicts();
     println!("{} conflicts", conflicts.len());
 
+    // One grammar-wide deadline: the §6 cumulative budget.
     let cfg = CexConfig::default();
+    let deadline = Instant::now() + cfg.cumulative_limit;
+    let cancel = CancelToken::new();
     let mut confirmed = 0usize;
-    for c in &conflicts {
-        let r = analyzer.analyze_conflict(c, &cfg);
+    for c in conflicts {
+        let r = engine.analyze_conflict_cancellable(c, &cfg, deadline, &cancel);
         match r.kind() {
             Some(ExampleKind::Unifying) => {
                 let u = r.unifying.as_ref().expect("unifying example present");

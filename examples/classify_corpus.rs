@@ -8,7 +8,7 @@
 //! counts, the canonical LR(1) states the merge check explored, and the
 //! precompute wall time. The whole corpus takes a few seconds.
 
-use lalrcex::core::{Analyzer, Classification, ProvenanceOutcome};
+use lalrcex::core::{Classification, Engine, ProvenanceOutcome};
 
 fn main() {
     println!(
@@ -18,9 +18,7 @@ fn main() {
     let mut total = (0u64, 0u64, 0u64, 0u64);
     for entry in lalrcex::corpus::all() {
         let g = entry.load().expect("corpus grammars parse");
-        let analyzer = Analyzer::new(&g);
-        let p = analyzer
-            .engine()
+        let p = Engine::new(&g)
             .provenance()
             .expect("provenance never faults on the corpus");
         let c = p.counts();

@@ -45,7 +45,7 @@ cargo run -q --release --example build_script > /dev/null
 echo "==> panic gate (engine non-test code)"
 scripts/panic_gate.sh
 
-echo "==> unsafe gate (forbid everywhere; scoped allows in cli sigint + core cache)"
+echo "==> unsafe gate (forbid everywhere; one scoped allow in the cli sigint handler)"
 scripts/unsafe_gate.sh
 
 echo "==> rustdoc (no warnings, no broken intra-doc links)"

@@ -300,25 +300,9 @@ impl AnalysisRequest {
         &self.source
     }
 
-    /// The grammar text (compatibility shim predating
-    /// [`AnalysisRequest::source`]).
-    pub fn grammar_text(&self) -> &str {
-        self.source.text()
-    }
-
-    /// The report label.
-    pub fn label_str(&self) -> &str {
-        &self.label
-    }
-
     /// The effective engine configuration.
     pub fn effective_config(&self) -> &CexConfig {
         &self.cfg
-    }
-
-    /// The configured end-to-end deadline, if any.
-    pub fn deadline_instant(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// The cumulative search budget left once the deadline is applied.
@@ -529,13 +513,6 @@ impl Session {
         }
     }
 
-    /// A session with an explicit cache budget in bytes.
-    pub fn with_cache_bytes(bytes: usize) -> Session {
-        Session {
-            cache: Arc::new(EngineCache::with_budget_bytes(bytes)),
-        }
-    }
-
     /// A snapshot of the engine-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -563,11 +540,10 @@ impl Session {
             })
     }
 
-    /// Analyzes every conflict of the request's grammar. The engine comes
-    /// from the session cache when the same source was analyzed before
-    /// (byte-identical reports either way).
-    pub fn analyze(&self, req: &AnalysisRequest) -> Result<AnalysisReply, Error> {
-        let (cached, cache_hit) = self.engine_for(&req.source)?;
+    /// The analysis [`Session::analyze`] and [`Session::explain`] share:
+    /// every conflict of `cached`'s grammar under the request's budgets,
+    /// with the session's cache counters stamped on the report.
+    fn report(&self, cached: &CachedEngine, req: &AnalysisRequest) -> GrammarReport {
         let fallback = CancelToken::new();
         let cancel = req.cancel.as_ref().unwrap_or(&fallback);
         let mut report =
@@ -578,6 +554,15 @@ impl Session {
         report.stats.cache_hits = cache.hits;
         report.stats.cache_misses = cache.misses;
         report.stats.cache_evictions = cache.evictions;
+        report
+    }
+
+    /// Analyzes every conflict of the request's grammar. The engine comes
+    /// from the session cache when the same source was analyzed before
+    /// (byte-identical reports either way).
+    pub fn analyze(&self, req: &AnalysisRequest) -> Result<AnalysisReply, Error> {
+        let (cached, cache_hit) = self.engine_for(&req.source)?;
+        let report = self.report(&cached, req);
         Ok(AnalysisReply {
             cached,
             report,
@@ -595,16 +580,7 @@ impl Session {
     pub fn explain(&self, req: &AnalysisRequest) -> Result<ExplainReply, Error> {
         let (cached, cache_hit) = self.engine_for(&req.source)?;
         let provenance = cached.engine().provenance()?;
-        let fallback = CancelToken::new();
-        let cancel = req.cancel.as_ref().unwrap_or(&fallback);
-        let mut report =
-            cached
-                .engine()
-                .analyze_all_cancellable(&req.cfg, req.effective_budget(), cancel);
-        let cache = self.cache.stats();
-        report.stats.cache_hits = cache.hits;
-        report.stats.cache_misses = cache.misses;
-        report.stats.cache_evictions = cache.evictions;
+        let mut report = self.report(&cached, req);
         report.stats.record_provenance(&provenance);
         Ok(ExplainReply {
             cached,

@@ -429,89 +429,103 @@ fn note_expiry<W: Write>(shared: &Shared<W>, deadline: Option<Instant>) -> bool 
     expired
 }
 
-fn handle_analyze<W: Write>(
+/// The supervised path every `analyze`, `explain` and `lint` request
+/// shares: reads the grammar and its format, runs `run` inside the
+/// `serve.request` containment boundary (on top of the engine's
+/// per-phase boundaries, so whatever a faulted request does, the serve
+/// loop answers and keeps going), and maps every failure to the same
+/// structured error response.
+///
+/// Whole-request fault-retry supervision: a contained fault that hit
+/// engine construction, a provenance build, or escaped the per-slot
+/// boundaries may have left poisoned state in the cache, so the grammar's
+/// entry is evicted before the one supervised re-run — a possibly
+/// poisoned engine is never re-served. A cancelled request is not
+/// retried.
+fn supervised<W: Write, R>(
     shared: &Shared<W>,
     id: &str,
+    op: &str,
     req: &Json,
-    cancel: CancelToken,
+    cancel: &CancelToken,
     deadline: Option<Instant>,
-) -> (Json, bool) {
-    shared.counters.analyze.fetch_add(1, Ordering::Relaxed);
+    run: impl Fn(&AnalysisRequest) -> Result<R, Error>,
+) -> Result<(R, AnalysisRequest), Json> {
     let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
-        return (
-            error_response(Some(id), "protocol", "analyze requires a `grammar` string"),
-            false,
-        );
+        let message = format!("{op} requires a `grammar` string");
+        return Err(error_response(Some(id), "protocol", &message));
     };
-    let format = match request_format(req) {
-        Ok(f) => f,
-        Err(bad) => return (unsupported_format_response(Some(id), &bad), false),
-    };
+    let format = request_format(req).map_err(|bad| unsupported_format_response(Some(id), &bad))?;
     let source = GrammarSource::new(grammar, format);
     let request =
         analysis_request(req, source, shared.worker_share(), deadline).cancel_token(cancel.clone());
-    let started = Instant::now();
-    // Containment on top of the engine's per-phase boundaries: whatever a
-    // faulted request does, the serve loop answers and keeps going.
-    let mut outcome = contain("serve.request", || {
-        lalrcex_core::fail_point!("serve.request");
-        shared.session.analyze(&request)
-    });
-    // Whole-request fault-retry supervision: a contained fault that hit
-    // engine construction or escaped the per-slot boundaries may have
-    // left poisoned state in the cache, so evict the grammar's entry
-    // before the one supervised re-run — a possibly poisoned engine is
-    // never re-served.
+    let attempt = || {
+        contain("serve.request", || {
+            lalrcex_core::fail_point!("serve.request");
+            run(&request)
+        })
+    };
+    let mut outcome = attempt();
     if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) && !cancel.is_cancelled() {
         shared.session.evict(request.source());
         shared
             .counters
             .request_retries
             .fetch_add(1, Ordering::Relaxed);
-        outcome = contain("serve.request", || {
-            lalrcex_core::fail_point!("serve.request");
-            shared.session.analyze(&request)
-        });
+        outcome = attempt();
     }
     match outcome {
-        Ok(Ok(mut reply)) => {
-            // Slot-level supervision: re-run each contained `Internal`
-            // conflict slot once; transient faults recover in place.
-            let mut retried_slots = 0;
-            if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
-                retried_slots = shared.session.retry_internal_slots(&mut reply, &request);
-                shared
-                    .counters
-                    .slot_retries
-                    .fetch_add(retried_slots, Ordering::Relaxed);
-            }
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            let expired = note_expiry(shared, deadline);
-            let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
-            let response = envelope(Some(id), true)
-                .push("op", Json::str("analyze"))
-                .push(
-                    "cache",
-                    Json::str(if reply.cache_hit { "hit" } else { "miss" }),
-                )
-                .push("elapsed_ms", Json::Num(elapsed_ms))
-                .push("cancelled", Json::Bool(cancelled))
-                .push("deadline_expired", Json::Bool(expired))
-                .push("retried_slots", Json::num(retried_slots as f64))
-                .push(
-                    "internal_count",
-                    Json::num(reply.report.internal_count() as u32),
-                )
-                .push("report", reply.to_json())
-                .build();
-            (response, true)
-        }
-        Ok(Err(e)) => (error_response(Some(id), e.kind(), &e.to_string()), false),
-        Err(e) => (
-            error_response(Some(id), "internal", &Error::Engine(e).to_string()),
-            false,
-        ),
+        Ok(Ok(reply)) => Ok((reply, request)),
+        Ok(Err(e)) => Err(error_response(Some(id), e.kind(), &e.to_string())),
+        Err(e) => Err(error_response(
+            Some(id),
+            "internal",
+            &Error::Engine(e).to_string(),
+        )),
     }
+}
+
+fn handle_analyze<W: Write>(
+    shared: &Shared<W>,
+    id: &str,
+    req: &Json,
+    cancel: CancelToken,
+    deadline: Option<Instant>,
+) -> Result<Json, Json> {
+    shared.counters.analyze.fetch_add(1, Ordering::Relaxed);
+    let started = Instant::now();
+    let (mut reply, request) = supervised(shared, id, "analyze", req, &cancel, deadline, |r| {
+        shared.session.analyze(r)
+    })?;
+    // Slot-level supervision: re-run each contained `Internal` conflict
+    // slot once; transient faults recover in place.
+    let mut retried_slots = 0;
+    if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
+        retried_slots = shared.session.retry_internal_slots(&mut reply, &request);
+        shared
+            .counters
+            .slot_retries
+            .fetch_add(retried_slots, Ordering::Relaxed);
+    }
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+    let expired = note_expiry(shared, deadline);
+    let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
+    Ok(envelope(Some(id), true)
+        .push("op", Json::str("analyze"))
+        .push(
+            "cache",
+            Json::str(if reply.cache_hit { "hit" } else { "miss" }),
+        )
+        .push("elapsed_ms", Json::Num(elapsed_ms))
+        .push("cancelled", Json::Bool(cancelled))
+        .push("deadline_expired", Json::Bool(expired))
+        .push("retried_slots", Json::num(retried_slots as f64))
+        .push(
+            "internal_count",
+            Json::num(reply.report.internal_count() as u32),
+        )
+        .push("report", reply.to_json())
+        .build())
 }
 
 fn handle_explain<W: Write>(
@@ -520,91 +534,53 @@ fn handle_explain<W: Write>(
     req: &Json,
     cancel: CancelToken,
     deadline: Option<Instant>,
-) -> (Json, bool) {
+) -> Result<Json, Json> {
     shared.counters.explain.fetch_add(1, Ordering::Relaxed);
-    let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
-        return (
-            error_response(Some(id), "protocol", "explain requires a `grammar` string"),
-            false,
-        );
-    };
-    let format = match request_format(req) {
-        Ok(f) => f,
-        Err(bad) => return (unsupported_format_response(Some(id), &bad), false),
-    };
-    let source = GrammarSource::new(grammar, format);
-    let request =
-        analysis_request(req, source, shared.worker_share(), deadline).cancel_token(cancel.clone());
     let started = Instant::now();
-    let mut outcome = contain("serve.request", || {
-        lalrcex_core::fail_point!("serve.request");
-        shared.session.explain(&request)
-    });
-    // Whole-request supervision also covers a faulted provenance build:
-    // provenance errors are never memoized, and evicting the entry
-    // guarantees the retry rebuilds every table from scratch.
-    if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) && !cancel.is_cancelled() {
-        shared.session.evict(request.source());
+    let (mut reply, request) = supervised(shared, id, "explain", req, &cancel, deadline, |r| {
+        shared.session.explain(r)
+    })?;
+    let mut retried_slots = 0;
+    if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
+        retried_slots = shared
+            .session
+            .retry_internal_explain_slots(&mut reply, &request);
         shared
             .counters
-            .request_retries
-            .fetch_add(1, Ordering::Relaxed);
-        outcome = contain("serve.request", || {
-            lalrcex_core::fail_point!("serve.request");
-            shared.session.explain(&request)
-        });
+            .slot_retries
+            .fetch_add(retried_slots, Ordering::Relaxed);
     }
-    match outcome {
-        Ok(Ok(mut reply)) => {
-            let mut retried_slots = 0;
-            if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
-                retried_slots = shared
-                    .session
-                    .retry_internal_explain_slots(&mut reply, &request);
-                shared
-                    .counters
-                    .slot_retries
-                    .fetch_add(retried_slots, Ordering::Relaxed);
-            }
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            let expired = note_expiry(shared, deadline);
-            let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
-            let counts = reply.provenance.counts();
-            let response = envelope(Some(id), true)
-                .push("op", Json::str("explain"))
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+    let expired = note_expiry(shared, deadline);
+    let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
+    let counts = reply.provenance.counts();
+    Ok(envelope(Some(id), true)
+        .push("op", Json::str("explain"))
+        .push(
+            "cache",
+            Json::str(if reply.cache_hit { "hit" } else { "miss" }),
+        )
+        .push("elapsed_ms", Json::Num(elapsed_ms))
+        .push("cancelled", Json::Bool(cancelled))
+        .push("deadline_expired", Json::Bool(expired))
+        .push("retried_slots", Json::num(retried_slots as f64))
+        .push(
+            "classification",
+            obj()
                 .push(
-                    "cache",
-                    Json::str(if reply.cache_hit { "hit" } else { "miss" }),
+                    "true_ambiguity_candidates",
+                    Json::num(counts.true_candidates as f64),
                 )
-                .push("elapsed_ms", Json::Num(elapsed_ms))
-                .push("cancelled", Json::Bool(cancelled))
-                .push("deadline_expired", Json::Bool(expired))
-                .push("retried_slots", Json::num(retried_slots as f64))
+                .push("merge_artifacts", Json::num(counts.merge_artifacts as f64))
                 .push(
-                    "classification",
-                    obj()
-                        .push(
-                            "true_ambiguity_candidates",
-                            Json::num(counts.true_candidates as f64),
-                        )
-                        .push("merge_artifacts", Json::num(counts.merge_artifacts as f64))
-                        .push(
-                            "precedence_resolved",
-                            Json::num(counts.precedence_resolved as f64),
-                        )
-                        .push("internal", Json::num(counts.internal as f64))
-                        .build(),
+                    "precedence_resolved",
+                    Json::num(counts.precedence_resolved as f64),
                 )
-                .push("report", reply.to_json())
-                .build();
-            (response, true)
-        }
-        Ok(Err(e)) => (error_response(Some(id), e.kind(), &e.to_string()), false),
-        Err(e) => (
-            error_response(Some(id), "internal", &Error::Engine(e).to_string()),
-            false,
-        ),
-    }
+                .push("internal", Json::num(counts.internal as f64))
+                .build(),
+        )
+        .push("report", reply.to_json())
+        .build())
 }
 
 fn handle_lint<W: Write>(
@@ -612,71 +588,47 @@ fn handle_lint<W: Write>(
     id: &str,
     req: &Json,
     deadline: Option<Instant>,
-) -> (Json, bool) {
+) -> Result<Json, Json> {
     shared.counters.lint.fetch_add(1, Ordering::Relaxed);
-    let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
-        return (
-            error_response(Some(id), "protocol", "lint requires a `grammar` string"),
-            false,
-        );
+    // Lint takes no cancel token: a fresh one keeps its whole-request
+    // retry unconditional.
+    let (reply, _) = supervised(
+        shared,
+        id,
+        "lint",
+        req,
+        &CancelToken::new(),
+        deadline,
+        |r| shared.session.lint(r.source()),
+    )?;
+    let doc = lalrcex_lint::render_json("", &reply.diagnostics);
+    let Some(diagnostics) = json::parse(&doc)
+        .ok()
+        .and_then(|d| d.get("diagnostics").cloned())
+    else {
+        return Err(error_response(
+            Some(id),
+            "internal",
+            "lint JSON did not parse",
+        ));
     };
-    let format = match request_format(req) {
-        Ok(f) => f,
-        Err(bad) => return (unsupported_format_response(Some(id), &bad), false),
-    };
-    let source = GrammarSource::new(grammar, format);
-    let mut outcome = contain("serve.request", || {
-        lalrcex_core::fail_point!("serve.request");
-        shared.session.lint(&source)
-    });
-    if matches!(outcome, Ok(Err(Error::Engine(_))) | Err(_)) {
-        shared.session.evict(&source);
-        shared
-            .counters
-            .request_retries
-            .fetch_add(1, Ordering::Relaxed);
-        outcome = contain("serve.request", || {
-            lalrcex_core::fail_point!("serve.request");
-            shared.session.lint(&source)
-        });
-    }
-    match outcome {
-        Ok(Ok(reply)) => {
-            let doc = lalrcex_lint::render_json("", &reply.diagnostics);
-            let Some(diagnostics) = json::parse(&doc)
-                .ok()
-                .and_then(|d| d.get("diagnostics").cloned())
-            else {
-                return (
-                    error_response(Some(id), "internal", "lint JSON did not parse"),
-                    false,
-                );
-            };
-            let expired = note_expiry(shared, deadline);
-            let worst = reply
-                .diagnostics
-                .iter()
-                .map(|d| d.severity)
-                .max()
-                .map_or(Json::Null, |s: Severity| Json::str(s.label()));
-            let response = envelope(Some(id), true)
-                .push("op", Json::str("lint"))
-                .push(
-                    "cache",
-                    Json::str(if reply.cache_hit { "hit" } else { "miss" }),
-                )
-                .push("deadline_expired", Json::Bool(expired))
-                .push("diagnostics", diagnostics)
-                .push("worst", worst)
-                .build();
-            (response, true)
-        }
-        Ok(Err(e)) => (error_response(Some(id), e.kind(), &e.to_string()), false),
-        Err(e) => (
-            error_response(Some(id), "internal", &Error::Engine(e).to_string()),
-            false,
-        ),
-    }
+    let expired = note_expiry(shared, deadline);
+    let worst = reply
+        .diagnostics
+        .iter()
+        .map(|d| d.severity)
+        .max()
+        .map_or(Json::Null, |s: Severity| Json::str(s.label()));
+    Ok(envelope(Some(id), true)
+        .push("op", Json::str("lint"))
+        .push(
+            "cache",
+            Json::str(if reply.cache_hit { "hit" } else { "miss" }),
+        )
+        .push("deadline_expired", Json::Bool(expired))
+        .push("diagnostics", diagnostics)
+        .push("worst", worst)
+        .build())
 }
 
 fn handle_stats<W: Write>(shared: &Shared<W>, id: &str) {
@@ -997,10 +949,14 @@ pub fn serve<R: BufRead, W: Write + Send>(
                     // is written, so a `stats` read after the response
                     // never counts a request that has already answered.
                     scope.spawn(move || {
-                        let (response, ok) = match op.as_str() {
+                        let handled = match op.as_str() {
                             "analyze" => handle_analyze(shared, &id, &req, cancel, deadline),
                             "explain" => handle_explain(shared, &id, &req, cancel, deadline),
                             _ => handle_lint(shared, &id, &req, deadline),
+                        };
+                        let (response, ok) = match handled {
+                            Ok(response) => (response, true),
+                            Err(response) => (response, false),
                         };
                         shared.lock_inflight().remove(&id);
                         shared.respond(response, ok);

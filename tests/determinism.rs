@@ -9,9 +9,7 @@
 
 use std::time::Duration;
 
-use lalrcex::core::{
-    format_report, Analyzer, CexConfig, Engine, ExampleKind, GrammarReport, SearchConfig,
-};
+use lalrcex::core::{format_report, CexConfig, Engine, ExampleKind, GrammarReport, SearchConfig};
 use lalrcex::grammar::Grammar;
 
 fn load(name: &str) -> Grammar {
@@ -33,7 +31,7 @@ fn generous(workers: usize) -> CexConfig {
 }
 
 fn run(g: &Grammar, cfg: &CexConfig) -> GrammarReport {
-    Analyzer::new(g).analyze_all(cfg)
+    Engine::new(g).analyze_all(cfg)
 }
 
 /// Asserts the determinism contract between two runs of the same grammar.
@@ -124,10 +122,10 @@ fn partial_budget_never_loses_nonunifying() {
     };
     let report = run(&g, &cfg);
     // Report order must match the conflict table even when workers race.
-    let analyzer = Analyzer::new(&g);
-    let table: Vec<_> = analyzer.tables().conflicts().to_vec();
+    let engine = Engine::new(&g);
+    let table = engine.tables().conflicts();
     assert_eq!(report.reports.len(), table.len());
-    for (r, c) in report.reports.iter().zip(&table) {
+    for (r, c) in report.reports.iter().zip(table) {
         assert_eq!(r.conflict.state, c.state);
         assert_eq!(r.conflict.terminal, c.terminal);
     }
@@ -186,9 +184,9 @@ fn stackovf08_partial_stats_match_across_workers() {
 #[test]
 fn equal_cost_frontiers_pin_the_reported_example() {
     let g = Grammar::parse("%%\ne : e '+' e | e '-' e | N ;").expect("inline grammar");
-    let mut analyzer = Analyzer::new(&g);
-    let cold = analyzer.analyze_all(&generous(1));
-    let warm = analyzer.analyze_all(&generous(1));
+    let engine = Engine::new(&g);
+    let cold = engine.analyze_all(&generous(1));
+    let warm = engine.analyze_all(&generous(1));
     let wide = run(&g, &generous(4));
     assert!(!cold.reports.is_empty(), "ambiguous grammar has conflicts");
     for r in &cold.reports {
@@ -214,16 +212,20 @@ fn equal_cost_frontiers_pin_the_reported_example() {
 
 /// A token cancelled before the run starts stops every search before it
 /// explores a single configuration, and no slot reports a unifying
-/// example.
+/// example — on the threaded fan-out and on the single worker that runs
+/// on the calling thread.
 #[test]
 fn precancelled_token_explores_nothing() {
     let g = load("figure1");
     let cancel = lalrcex::core::CancelToken::new();
     cancel.cancel();
-    let report = Analyzer::new(&g).analyze_all_cancellable(&generous(2), &cancel);
-    assert_eq!(report.stats.search.explored, 0, "no work after cancel");
-    for r in &report.reports {
-        assert_ne!(r.kind(), Some(ExampleKind::Unifying));
+    for workers in [2, 1] {
+        let cfg = generous(workers);
+        let report = Engine::new(&g).analyze_all_cancellable(&cfg, cfg.cumulative_limit, &cancel);
+        assert_eq!(report.stats.search.explored, 0, "no work after cancel");
+        for r in &report.reports {
+            assert_ne!(r.kind(), Some(ExampleKind::Unifying));
+        }
     }
 }
 

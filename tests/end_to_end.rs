@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use lalrcex::core::{validate, Analyzer, CexConfig, ExampleKind, SearchConfig};
+use lalrcex::core::{validate, CexConfig, Engine, ExampleKind, SearchConfig};
 use lalrcex::earley::forest;
 
 fn cfg() -> CexConfig {
@@ -24,8 +24,7 @@ fn cfg() -> CexConfig {
 fn run(name: &str) -> (lalrcex::grammar::Grammar, Vec<(ExampleKind, bool)>) {
     let entry = lalrcex::corpus::by_name(name).expect("corpus entry");
     let g = entry.load().expect("grammar loads");
-    let mut analyzer = Analyzer::new(&g);
-    let report = analyzer.analyze_all(&cfg());
+    let report = Engine::new(&g).analyze_all(&cfg());
     let mut out = Vec::new();
     for r in &report.reports {
         let mut oracle_ok = true;
@@ -82,8 +81,7 @@ fn ambfailed01_restricted_search_misses_extended_finds() {
     let entry = lalrcex::corpus::by_name("ambfailed01").unwrap();
     let g = entry.load().unwrap();
 
-    let mut analyzer = Analyzer::new(&g);
-    let restricted = analyzer.analyze_all(&cfg());
+    let restricted = Engine::new(&g).analyze_all(&cfg());
     assert_eq!(restricted.reports.len(), 1);
     assert_eq!(
         restricted.reports[0].kind(),
@@ -93,8 +91,7 @@ fn ambfailed01_restricted_search_misses_extended_finds() {
 
     let mut extended_cfg = cfg();
     extended_cfg.search.extended = true;
-    let mut analyzer2 = Analyzer::new(&g);
-    let extended = analyzer2.analyze_all(&extended_cfg);
+    let extended = Engine::new(&g).analyze_all(&extended_cfg);
     assert_eq!(extended.reports[0].kind(), Some(ExampleKind::Unifying));
     let u = extended.reports[0].unifying.as_ref().unwrap();
     assert!(
@@ -198,9 +195,9 @@ fn provenance_classifies_corpus_and_agrees_with_the_search() {
     for name in ["figure1", "figure7", "simp2", "xi", "eqn", "abcd", "SQL.1"] {
         let entry = lalrcex::corpus::by_name(name).expect("corpus entry");
         let g = entry.load().expect("grammar loads");
-        let mut analyzer = Analyzer::new(&g);
-        let report = analyzer.analyze_all(&cfg());
-        let p = analyzer.engine().provenance().expect("no faults");
+        let engine = Engine::new(&g);
+        let report = engine.analyze_all(&cfg());
+        let p = engine.provenance().expect("no faults");
         assert_eq!(
             p.conflicts.len(),
             report.reports.len(),

@@ -168,15 +168,13 @@ fn error_severity_is_reserved() {
 #[test]
 fn provenance_rendering_never_panics() {
     use lalrcex::core::{
-        format_provenance, render_chain_step, Analyzer, Classification, ProvenanceOutcome,
+        format_provenance, render_chain_step, Classification, Engine, ProvenanceOutcome,
     };
     use lalrcex::lr::ConflictKind;
     for seed in 0..CASES {
         let mut rng = XorShift::new(0x9307 + seed);
         let g = gen_grammar(&mut rng);
-        let analyzer = Analyzer::new(&g);
-        let p = analyzer
-            .engine()
+        let p = Engine::new(&g)
             .provenance()
             .expect("provenance on a random grammar never faults");
         let counts = p.counts();
@@ -241,12 +239,12 @@ fn provenance_rendering_never_panics() {
 /// evidence for every conflict and resolution.
 #[test]
 fn provenance_is_deterministic() {
-    use lalrcex::core::{format_provenance, Analyzer, ProvenanceOutcome};
+    use lalrcex::core::{format_provenance, Engine, ProvenanceOutcome};
     for seed in 0..CASES / 2 {
         let mut rng = XorShift::new(0xDE7E + seed);
         let g = gen_grammar(&mut rng);
-        let render = |a: &Analyzer| -> String {
-            let p = a.engine().provenance().expect("no faults injected");
+        let render = |e: &Engine| -> String {
+            let p = e.provenance().expect("no faults injected");
             let mut out = String::new();
             for outcome in &p.conflicts {
                 match outcome {
@@ -257,8 +255,8 @@ fn provenance_is_deterministic() {
             }
             out
         };
-        let a = Analyzer::new(&g);
-        let b = Analyzer::new(&g);
+        let a = Engine::new(&g);
+        let b = Engine::new(&g);
         assert_eq!(render(&a), render(&b), "seed {seed}: renderings differ");
         // The memoized second call is identical to the first.
         assert_eq!(render(&a), render(&a), "seed {seed}: memo differs");

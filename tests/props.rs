@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use lalrcex::core::{validate, Analyzer, CexConfig, SearchConfig};
+use lalrcex::core::{validate, CexConfig, Engine, SearchConfig};
 use lalrcex::earley::{chart, forest};
 use lalrcex::grammar::{Assoc, Grammar, GrammarBuilder, SymbolId, SymbolKind, TerminalSet};
 use lalrcex::lr::{glr, Action, Automaton, Conflict, ConflictKind, Item, Resolution, StateId};
@@ -107,8 +107,7 @@ fn unifying_claims_are_sound() {
         let mut rng = XorShift::new(0xA11CE + seed);
         let spec = gen_spec(&mut rng);
         let g = build(&spec);
-        let mut analyzer = Analyzer::new(&g);
-        let report = analyzer.analyze_all(&quick_cfg());
+        let report = Engine::new(&g).analyze_all(&quick_cfg());
         for r in &report.reports {
             if let Some(u) = &r.unifying {
                 assert!(
