@@ -1,8 +1,8 @@
 //! The grammar-keyed engine cache.
 //!
 //! The engine's precomputation — LALR automaton, resolved tables, the
-//! lazily built state-item graph, the spine, provenance and lint-probe
-//! memos — is pure in the grammar text, so a long-lived process (the
+//! lazily built state-item graph, the spine, provenance, lint-probe and
+//! verdict memos — is pure in the grammar text, so a long-lived process (the
 //! `lalrcex serve` service, the `batch` driver, or any embedder using
 //! [`crate::Engine`] repeatedly) can key
 //! built engines by a content hash of the text and skip construction

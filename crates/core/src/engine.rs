@@ -14,15 +14,28 @@
 //! resolution and its node budget, so a warm engine answers a repeated lint
 //! without searching again.
 //!
+//! The fourth memo holds each conflict's *decided verdict* — its
+//! [`ExampleKind`], both examples and the search counters that produced
+//! them — keyed by the conflict and the work caps of its search
+//! (`extended`, `max_configs`, `max_cost`). Only a search that ended on
+//! its own (a unifying example, or an exhausted space) with no fault and
+//! no cancel is stored, so a warm `analyze` or `explain` of the same
+//! grammar returns every decided conflict without searching, and a
+//! conflict that was cut off is searched again next time. The per-conflict
+//! `time_limit` is not part of the key: a stored verdict is what any run
+//! whose clock does not fire returns, so a warm call under a tighter clock
+//! gets the decided verdict where a cold run might have been cut off.
+//!
 //! Per-conflict work — the product-parser unifying search (§5) and the
 //! nonunifying construction — fans out across a [`std::thread::scope`]
-//! worker pool (a single worker runs on the calling thread). A deadline-aware scheduler enforces both limits of §6:
-//! each conflict's search runs under `min(time_limit, remaining grammar
-//! budget)`, and once the grammar-wide `cumulative_limit` is exhausted the
-//! remaining conflicts skip the expensive search but still receive their
-//! cheap nonunifying counterexamples. Reports are collected in conflict
-//! table order, so for runs where no limit fires the output is
-//! byte-identical whatever the worker count.
+//! worker pool (a single worker runs on the calling thread). A
+//! deadline-aware scheduler enforces both limits of §6: each conflict's
+//! search runs under `min(time_limit, remaining grammar budget)`, and once
+//! the grammar-wide `cumulative_limit` is exhausted the remaining
+//! conflicts skip the expensive search but still receive their cheap
+//! nonunifying counterexamples. Reports are collected in conflict table
+//! order, so for runs where no limit fires the output is byte-identical
+//! whatever the worker count.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -37,12 +50,12 @@ use crate::cancel::CancelToken;
 use crate::contain::contain;
 use crate::error::EngineError;
 use crate::lssi::{self, LsNode};
-use crate::nonunifying::nonunifying_example;
+use crate::nonunifying::{nonunifying_example, NonunifyingExample};
 use crate::provenance::{self, GrammarProvenance};
 use crate::report::{CexConfig, ConflictOutcome, ConflictReport, ExampleKind, GrammarReport};
 use crate::search::{unifying_search_cancellable, SearchConfig, SearchOutcome, UnifyingExample};
 use crate::state_graph::{StateGraph, StateItemId};
-use crate::stats::{GrammarStats, PrecomputeTimes, SearchStats};
+use crate::stats::{GrammarStats, PrecomputeTimes, SearchMetrics, SearchStats};
 
 /// A memoized §4 spine: the shortest lookahead-sensitive path to a
 /// conflict's reduce item, plus the derived state set that prunes the
@@ -73,11 +86,25 @@ pub struct Engine<'g> {
     memo: Mutex<HashMap<(StateItemId, usize), Arc<Spine>>>,
     prov: Mutex<Option<Arc<GrammarProvenance>>>,
     probes: Mutex<HashMap<ProbeKey, ResolutionProbe>>,
+    verdicts: Mutex<HashMap<VerdictKey, Arc<Verdict>>>,
 }
 
 /// The probe memo key: the resolution (state, terminal, reduce production)
 /// and the node budget it was probed under.
 type ProbeKey = (StateId, SymbolId, ProdId, usize);
+
+/// The verdict memo key: the conflict and the work caps of its search —
+/// `extended`, `max_configs` and `max_cost`, but not the clock.
+type VerdictKey = (Conflict, bool, usize, u32);
+
+/// A conflict's decided verdict: what its search and nonunifying
+/// construction produced, and the counters of that search.
+struct Verdict {
+    kind: ExampleKind,
+    unifying: Option<UnifyingExample>,
+    nonunifying: Option<NonunifyingExample>,
+    search: SearchMetrics,
+}
 
 /// A read-only view of every conflict-independent fact the engine built for
 /// a grammar — the *fact-sharing seam* between the conflict search and
@@ -172,6 +199,7 @@ impl<'g> Engine<'g> {
             memo: Mutex::new(HashMap::new()),
             prov: Mutex::new(None),
             probes: Mutex::new(HashMap::new()),
+            verdicts: Mutex::new(HashMap::new()),
         }
     }
 
@@ -248,9 +276,11 @@ impl<'g> Engine<'g> {
     /// per kernel item and one `Follow` row per goto, which closure items
     /// share), state transitions, the relation edges, the sparse parse
     /// table rows, the state-item graph once built, and the current spine
-    /// memo, provenance and probe memo (a fixed cost per probe, plus the
-    /// derivation trees of an `Ambiguous` one). Not an allocator truth: it
-    /// feeds the [`crate::cache::EngineCache`] byte-budget eviction.
+    /// memo, provenance, probe memo (a fixed cost per probe, plus the
+    /// derivation trees of an `Ambiguous` one) and verdict memo (a fixed
+    /// cost per verdict, plus the derivation trees of its examples). Not an
+    /// allocator truth: it feeds the [`crate::cache::EngineCache`]
+    /// byte-budget eviction.
     pub fn estimated_bytes(&self) -> usize {
         let tset_bytes = self.g.terminal_count().div_ceil(8) + 24;
         let rel = self.auto.relations();
@@ -285,6 +315,18 @@ impl<'g> Engine<'g> {
             bytes += 64;
             if let ResolutionProbe::Ambiguous(ex) = probe {
                 bytes += derivation_bytes(&ex.derivation1) + derivation_bytes(&ex.derivation2);
+            }
+        }
+        drop(probes);
+        let verdicts = self.verdicts.lock().unwrap_or_else(PoisonError::into_inner);
+        for v in verdicts.values() {
+            bytes += 128;
+            if let Some(ex) = &v.unifying {
+                bytes += derivation_bytes(&ex.derivation1) + derivation_bytes(&ex.derivation2);
+            }
+            if let Some(ex) = &v.nonunifying {
+                bytes += derivation_bytes(&ex.reduce_derivation)
+                    + ex.other_derivation.as_ref().map_or(0, derivation_bytes);
             }
         }
         bytes
@@ -498,6 +540,17 @@ impl<'g> Engine<'g> {
     /// A cancellation observed between phases skips the remaining phases;
     /// an expired `deadline` only skips the expensive unifying search,
     /// preserving §6 graceful cutoff.
+    ///
+    /// Where the unifying search would start — the token live, the
+    /// deadline ahead and the per-conflict `time_limit` above zero — the
+    /// verdict memo is consulted first: a conflict already decided on this
+    /// engine under the same `extended`, `max_configs` and `max_cost`
+    /// returns its stored report, with the stored search counters and
+    /// [`SearchStats::verdict_memo_hit`] set, and neither search phase
+    /// runs. A verdict is stored only when the search ended
+    /// [`ExampleKind::Unifying`] or [`ExampleKind::NonunifyingExhausted`],
+    /// no phase faulted and the token was not cancelled; cut-off, skipped,
+    /// cancelled and faulted slots are computed afresh on every call.
     pub fn analyze_conflict_cancellable(
         &self,
         conflict: &Conflict,
@@ -532,6 +585,12 @@ impl<'g> Engine<'g> {
             stats.spine_nodes = spine.nodes_expanded;
         }
 
+        let key = (
+            *conflict,
+            cfg.search.extended,
+            cfg.search.max_configs,
+            cfg.search.max_cost,
+        );
         let mut fault: Option<EngineError> = None;
         let remaining = deadline.saturating_duration_since(Instant::now());
         let (kind, unifying) = if cancel.is_cancelled() {
@@ -546,6 +605,21 @@ impl<'g> Engine<'g> {
                 ..cfg.search
             };
             let t1 = Instant::now();
+            if !effective.time_limit.is_zero() {
+                if let Some(v) = self.stored_verdict(&key) {
+                    stats.verdict_memo_hit = true;
+                    stats.search = v.search;
+                    stats.time_unifying = t1.elapsed();
+                    return ConflictReport {
+                        conflict: *conflict,
+                        outcome: ConflictOutcome::Completed(v.kind),
+                        unifying: v.unifying.clone(),
+                        nonunifying: v.nonunifying.clone(),
+                        elapsed: started.elapsed(),
+                        stats,
+                    };
+                }
+            }
             let outcome = contain("unifying", || {
                 unifying_search_cancellable(
                     &self.g,
@@ -590,6 +664,21 @@ impl<'g> Engine<'g> {
         };
         stats.time_nonunifying = t2.elapsed();
 
+        let decided = matches!(
+            kind,
+            ExampleKind::Unifying | ExampleKind::NonunifyingExhausted
+        );
+        if decided && fault.is_none() && !cancel.is_cancelled() {
+            self.store_verdict(
+                key,
+                Verdict {
+                    kind,
+                    unifying: unifying.clone(),
+                    nonunifying: nonunifying.clone(),
+                    search: stats.search,
+                },
+            );
+        }
         let outcome = match fault {
             Some(e) => ConflictOutcome::Internal(e),
             None => ConflictOutcome::Completed(kind),
@@ -602,6 +691,27 @@ impl<'g> Engine<'g> {
             elapsed: started.elapsed(),
             stats,
         }
+    }
+
+    /// The verdict memo's entry for `key`, if one is stored.
+    fn stored_verdict(&self, key: &VerdictKey) -> Option<Arc<Verdict>> {
+        // Poison recovery as for the spine memo: entries are complete
+        // before insertion.
+        self.verdicts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .cloned()
+    }
+
+    /// Stores a decided verdict. Racing workers may both decide one key;
+    /// their verdicts are identical, so the first insert stands.
+    fn store_verdict(&self, key: VerdictKey, verdict: Verdict) {
+        self.verdicts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert_with(|| Arc::new(verdict));
     }
 
     /// Analyzes every conflict with the full `cumulative_limit` budget.
@@ -885,6 +995,134 @@ mod tests {
                 + gotos * std::mem::size_of::<(u32, StateId)>()
                 + offsets
         );
+    }
+
+    fn eqn() -> Grammar {
+        lalrcex_corpus::by_name("eqn")
+            .expect("corpus entry")
+            .load()
+            .expect("corpus grammar parses")
+    }
+
+    /// A configuration whose outcomes depend on the work caps alone: the
+    /// clocks are far larger than any search here.
+    fn clockless(max_configs: usize) -> CexConfig {
+        CexConfig {
+            search: SearchConfig {
+                time_limit: Duration::from_secs(3600),
+                max_configs,
+                ..SearchConfig::default()
+            },
+            cumulative_limit: Duration::from_secs(3600),
+            workers: 1,
+        }
+    }
+
+    /// One conflict's diagnosis under a far deadline and a live token.
+    fn diagnose(engine: &Engine<'_>, c: &Conflict, cfg: &CexConfig) -> ConflictReport {
+        let deadline = Instant::now() + cfg.cumulative_limit;
+        engine.analyze_conflict_cancellable(c, cfg, deadline, &CancelToken::new())
+    }
+
+    #[test]
+    fn verdicts_are_charged_to_the_engine() {
+        let g = figure1();
+        let engine = Engine::new(&g);
+        // Build the spines (and with them the graph) first, so only the
+        // verdict memo can move the charge.
+        for c in engine.tables().conflicts() {
+            engine.spine(c);
+        }
+        let cfg = clockless(1 << 21);
+        let before = engine.estimated_bytes();
+        let cold = engine.analyze_all(&cfg);
+        assert_eq!(cold.stats.verdict_memo_hits, 0);
+        let after = engine.estimated_bytes();
+        assert!(after > before, "verdict memo charged: {before} -> {after}");
+        let warm = engine.analyze_all(&cfg);
+        assert_eq!(warm.stats.verdict_memo_hits, 3);
+        assert_eq!(
+            engine.estimated_bytes(),
+            after,
+            "a warm analysis adds nothing"
+        );
+    }
+
+    #[test]
+    fn capped_verdicts_are_searched_again() {
+        let g = eqn();
+        let engine = Engine::new(&g);
+        let c = engine.tables().conflicts()[0];
+        let cfg = clockless(1_000);
+        let first = diagnose(&engine, &c, &cfg);
+        assert_eq!(first.kind(), Some(ExampleKind::NonunifyingTimeout));
+        let second = diagnose(&engine, &c, &cfg);
+        assert_eq!(second.kind(), Some(ExampleKind::NonunifyingTimeout));
+        assert!(
+            !second.stats.verdict_memo_hit,
+            "a capped verdict is not stored"
+        );
+        assert!(second.stats.search.explored > 0, "the search ran again");
+        assert_eq!(second.stats.search, first.stats.search);
+    }
+
+    #[test]
+    fn warm_engines_degrade_like_cold_ones() {
+        let g = figure1();
+        let cfg = clockless(1 << 21);
+        let warm = Engine::new(&g);
+        warm.analyze_all(&cfg);
+        let live = CancelToken::new();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let ahead = Instant::now() + Duration::from_secs(3600);
+        let no_clock = CexConfig {
+            search: SearchConfig {
+                time_limit: Duration::ZERO,
+                ..cfg.search
+            },
+            ..cfg
+        };
+        let ladder = [
+            (&cfg, ahead, &cancelled, ExampleKind::Cancelled),
+            (&cfg, Instant::now(), &live, ExampleKind::NonunifyingSkipped),
+            (&no_clock, ahead, &live, ExampleKind::NonunifyingTimeout),
+        ];
+        for c in warm.tables().conflicts() {
+            for (cfg, deadline, token, kind) in ladder {
+                let w = warm.analyze_conflict_cancellable(c, cfg, deadline, token);
+                let cold = Engine::new(&g).analyze_conflict_cancellable(c, cfg, deadline, token);
+                assert_eq!(w.kind(), Some(kind));
+                assert!(!w.stats.verdict_memo_hit, "{kind:?} never reads the memo");
+                assert_eq!(w.stats.search, cold.stats.search, "{kind:?}");
+                assert_eq!(format_report(&g, &w), format_report(&g, &cold), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tighter_clock_gets_the_stored_verdict() {
+        let g = eqn();
+        let engine = Engine::new(&g);
+        let c = engine.tables().conflicts()[0];
+        let cfg = clockless(1 << 21);
+        let decided = diagnose(&engine, &c, &cfg);
+        assert_ne!(decided.kind(), Some(ExampleKind::NonunifyingTimeout));
+        let tight = CexConfig {
+            search: SearchConfig {
+                time_limit: Duration::from_nanos(1),
+                ..cfg.search
+            },
+            ..cfg
+        };
+        // A fresh engine's search is cut off by a 1 ns clock...
+        let cold = diagnose(&Engine::new(&g), &c, &tight);
+        assert_eq!(cold.kind(), Some(ExampleKind::NonunifyingTimeout));
+        // ...but a warm one answers with the verdict its caps decided.
+        let warm = diagnose(&engine, &c, &tight);
+        assert!(warm.stats.verdict_memo_hit);
+        assert_eq!(warm.stats.search, decided.stats.search);
+        assert_eq!(format_report(&g, &warm), format_report(&g, &decided));
     }
 
     #[test]

@@ -64,6 +64,10 @@ pub struct SearchStats {
     pub spine_nodes: u64,
     /// Whether the spine was served from the per-grammar memo.
     pub spine_memo_hit: bool,
+    /// Whether the conflict's decided verdict was served from the
+    /// per-engine verdict memo; `search` then holds the counters of the
+    /// search that decided it, and no search ran.
+    pub verdict_memo_hit: bool,
     /// Supervised re-runs of this conflict slot after a contained fault
     /// (the service layer's fault-retry supervision). Zero on first
     /// runs; filled by the supervisor, not by the engine.
@@ -114,6 +118,9 @@ pub struct GrammarStats {
     pub spine_memo_hits: u64,
     /// Spine-memo misses (spines actually computed).
     pub spine_memo_misses: u64,
+    /// Conflicts whose decided verdict was served from the verdict memo,
+    /// without searching.
+    pub verdict_memo_hits: u64,
     /// Aggregate product-parser search counters.
     pub search: SearchMetrics,
     /// Aggregate LSSI nodes expanded (misses only).
@@ -164,6 +171,7 @@ impl GrammarStats {
         } else {
             self.spine_memo_misses += 1;
         }
+        self.verdict_memo_hits += u64::from(s.verdict_memo_hit);
         self.search.merge(&s.search);
         self.spine_nodes += s.spine_nodes;
         self.cpu_time += s.time_spine + s.time_unifying + s.time_nonunifying;
@@ -185,13 +193,14 @@ impl GrammarStats {
 /// One-line rendering of a conflict's counters for `--stats` output.
 pub fn format_conflict_stats(s: &SearchStats) -> String {
     format!(
-        "explored={} enqueued={} deduped={} frontier-peak={} spine={} spine-nodes={} t-spine={:.1}ms t-search={:.1}ms t-nonunif={:.1}ms",
+        "explored={} enqueued={} deduped={} frontier-peak={} spine={} spine-nodes={} verdict={} t-spine={:.1}ms t-search={:.1}ms t-nonunif={:.1}ms",
         s.search.explored,
         s.search.enqueued,
         s.search.deduped,
         s.search.frontier_peak,
         if s.spine_memo_hit { "memo" } else { "computed" },
         s.spine_nodes,
+        if s.verdict_memo_hit { "memo" } else { "computed" },
         s.time_spine.as_secs_f64() * 1e3,
         s.time_unifying.as_secs_f64() * 1e3,
         s.time_nonunifying.as_secs_f64() * 1e3,
@@ -204,6 +213,7 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
         "grammar stats: {} conflicts, {} workers, precompute {:.1}ms \
          (lr0 {:.1}ms, lookaheads {:.1}ms, tables {:.1}ms, state graph {:.1}ms)\n\
          \u{20} spine memo: {} hits / {} misses ({} LSSI nodes expanded)\n\
+         \u{20} verdict memo: {} hits\n\
          \u{20} unifying search: {} explored, {} enqueued, {} deduped, frontier peak {}, {} arena cells\n\
          \u{20} supervision: {} slot retries / {} recovered\n\
          \u{20} engine cache: {} hits / {} misses / {} evictions\n\
@@ -219,6 +229,7 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
         stats.spine_memo_hits,
         stats.spine_memo_misses,
         stats.spine_nodes,
+        stats.verdict_memo_hits,
         stats.search.explored,
         stats.search.enqueued,
         stats.search.deduped,
@@ -290,6 +301,7 @@ mod tests {
         let g = GrammarStats::default();
         let out = format_grammar_stats(&g, Duration::ZERO);
         assert!(out.contains("spine memo"));
+        assert!(out.contains("verdict memo: 0 hits"));
         assert!(out.contains("lookaheads 0.0ms"));
         assert!(out.contains("unifying search"));
     }

@@ -51,6 +51,9 @@ scripts/unsafe_gate.sh
 echo "==> rustdoc (no warnings, no broken intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib -q
 
+echo "==> core unit tests with the fault-injection probes compiled in"
+cargo test -q -p lalrcex-core --features failpoints --lib
+
 echo "==> chaos suite (deterministic fault injection)"
 cargo test -q --features failpoints --test chaos
 

@@ -291,6 +291,63 @@ fn memoized_lint_probe_skips_the_fault_point() {
     }
 }
 
+/// A decided verdict is memoized per engine under its work caps: an
+/// `unify.expand` panic installed after a clean analyze never fires on a
+/// repeat at the same budgets (the memo answers without searching), but
+/// does fire at another `max_configs`. The slot it faults is not stored,
+/// so a clean run at that budget searches it again.
+#[test]
+fn memoized_verdict_skips_the_search_fault_point() {
+    let g = load("figure1");
+    let engine = Engine::new(&g);
+    // Room for every figure1 search to decide (the `deterministic` cap of
+    // 5 000 cuts conflict 0 off).
+    let budgets = |max_configs| CexConfig {
+        search: SearchConfig {
+            max_configs,
+            ..deterministic(1).search
+        },
+        ..deterministic(1)
+    };
+    let cfg = budgets(1 << 16);
+    let clean = {
+        let _guard = install(FaultPlan::new());
+        engine.analyze_all(&cfg)
+    };
+    assert_eq!(clean.stats.verdict_memo_hits, 0);
+    let panic_in_slot_0 = || FaultPlan::new().trigger(0, "unify.expand", 1, FaultAction::Panic);
+    {
+        let _guard = install(panic_in_slot_0());
+        let warm = engine.analyze_all(&cfg);
+        assert!(warm.reports.iter().all(|r| !r.is_internal()));
+        assert_eq!(warm.stats.verdict_memo_hits, 3);
+        assert_eq!(formatted(&g, &warm), formatted(&g, &clean));
+    }
+    let other = budgets(1 << 15);
+    {
+        let _guard = install(panic_in_slot_0());
+        let faulted = engine.analyze_all(&other);
+        assert_eq!(
+            faulted.reports[0].error().map(|e| e.phase),
+            Some("unifying")
+        );
+        assert_eq!(faulted.stats.verdict_memo_hits, 0);
+    }
+    let _guard = install(FaultPlan::new());
+    let rerun = engine.analyze_all(&other);
+    let hits: Vec<bool> = rerun
+        .reports
+        .iter()
+        .map(|r| r.stats.verdict_memo_hit)
+        .collect();
+    assert_eq!(
+        hits,
+        [false, true, true],
+        "only the faulted slot searches again"
+    );
+    assert_eq!(formatted(&g, &rerun), formatted(&g, &clean));
+}
+
 /// Property sweep: PRNG-seeded single-trigger plans over the
 /// per-conflict-deterministic probes. For every seed, (a) both worker
 /// counts return one report per conflict, (b) the two runs are

@@ -315,6 +315,74 @@ fn warm_lint_matches_a_cold_linter() {
     }
 }
 
+/// A warm `Session::analyze` serves every decided conflict from the
+/// engine's verdict memo and still renders the cold bytes. Covers the
+/// `serve_mixed` working set plus two grammars whose searches exhaust
+/// their space (figure3, ambfailed01), at workers 1 and 2: the second run
+/// through one session searches nothing, reports the counters of the
+/// search that decided each verdict, and matches a cold run in text and
+/// schema-v1 JSON.
+#[test]
+fn warm_verdicts_match_cold_reports() {
+    use lalrcex::{AnalysisRequest, Session};
+
+    let names = [
+        "figure1",
+        "abcd",
+        "simp2",
+        "eqn",
+        "stackexc01",
+        "stackovf07",
+        "SQL.2",
+        "Pascal.2",
+        "C.2",
+        "Java.4",
+        "figure3",
+        "ambfailed01",
+    ];
+    for name in names {
+        let text = lalrcex::corpus::by_name(name).expect("corpus entry").text();
+        let req = |workers: usize| {
+            AnalysisRequest::new(&text)
+                .label(name)
+                .time_limit(Duration::from_secs(30))
+                .cumulative_limit(Duration::from_secs(600))
+                .workers(workers)
+        };
+        let cold = Session::new().analyze(&req(1)).expect("cold analyze");
+        let (cold_text, cold_json) = (cold.render_text(), cold.to_json().to_string());
+        let conflicts = cold.report.reports.len() as u64;
+        assert!(conflicts > 0, "{name} has conflicts");
+        for workers in [1, 2] {
+            let session = Session::new();
+            let first = session.analyze(&req(workers)).expect("first analyze");
+            let second = session.analyze(&req(workers)).expect("second analyze");
+            assert!(second.cache_hit, "{name}: same engine");
+            assert_eq!(first.report.stats.verdict_memo_hits, 0, "{name}");
+            assert_eq!(
+                second.report.stats.verdict_memo_hits, conflicts,
+                "{name} workers={workers}: every verdict decided and served"
+            );
+            assert_eq!(
+                second.report.stats.search.explored, first.report.stats.search.explored,
+                "{name} workers={workers}"
+            );
+            for (run, reply) in [("first", &first), ("second", &second)] {
+                assert_eq!(
+                    reply.render_text(),
+                    cold_text,
+                    "{name} {run} workers={workers}"
+                );
+                assert_eq!(
+                    reply.to_json().to_string(),
+                    cold_json,
+                    "{name} {run} workers={workers} (json)"
+                );
+            }
+        }
+    }
+}
+
 /// Every deterministic counter of one unifying search per conflict of
 /// corpus grammar `name` (or only its conflict number `only`), in
 /// conflict-table order: `[explored, enqueued, deduped, frontier_peak,
