@@ -37,8 +37,8 @@ pub struct SearchMetrics {
     /// High-water mark of the frontier (pending arena records), sampled
     /// after each cost bucket is expanded.
     pub frontier_peak: u64,
-    /// Total `u32` cells appended to the item-sequence and derivation-list
-    /// pools — the arena footprint behind the record counts. Deterministic.
+    /// Item-sequence cons cells allocated — the arena footprint behind the
+    /// record counts. Deterministic.
     pub arena_cells: u64,
 }
 
