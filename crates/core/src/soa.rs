@@ -7,8 +7,8 @@
 //! time in `clone`/`drop`/`Vec::insert(0, …)`. This module provides the
 //! flat replacements:
 //!
-//! * [`CellArena`] + [`Seq`] — item sequences and derivation *lists* as
-//!   persistent double-ended sequences built from immutable cons cells.
+//! * [`CellArena`] + [`Seq`] — item sequences as persistent
+//!   double-ended sequences built from immutable cons cells.
 //!   Every Figure 10 action edits a sequence at one end (prepend, append,
 //!   or pop-a-suffix), so a successor shares its parent's cells and costs
 //!   O(edit), not O(length). Flat per-configuration copies are quadratic
@@ -22,7 +22,7 @@
 //!   (one per grammar symbol, created once), and reductions append one node
 //!   whose child list is a span in the [`Pool`] — building a reduction is
 //!   O(children) in tree size where the old representation deep-cloned the
-//!   whole tree.
+//!   whole tree. The search builds one per replayed configuration.
 //! * [`SetInterner`] — hash-consed [`TerminalSet`]s so pending-lookahead
 //!   constraints compare and hash as `u32` ids.
 //! * [`BucketQueue`] — a radix-by-cost ring replacing the binary heap.
