@@ -38,6 +38,9 @@ echo "==> serve protocol + report schema"
 cargo test -q --test serve_proto --test report_schema
 cargo test -q -p lalrcex-cli --test cli
 
+echo "==> determinism suite in the release build (pinned search counters, cap pins)"
+cargo test -q --release --test determinism
+
 echo "==> yacc frontend differential (committed twins) + build-script example"
 cargo test -q --release --test yacc_differential
 cargo run -q --release --example build_script > /dev/null
