@@ -3,8 +3,6 @@
 //! graph (§4, Figure 4) with the lookahead component factored out, plus
 //! precomputed reverse edges for the backward searches of §5.3 and §6.
 
-use std::collections::HashMap;
-
 use lalrcex_grammar::{Grammar, SymbolId, SymbolKind, TerminalSet};
 use lalrcex_lr::{Automaton, Item, StateId};
 
@@ -85,13 +83,15 @@ impl NodeSet {
 /// these actions" before working on the first conflict).
 pub struct StateGraph {
     nodes: Vec<(StateId, Item)>,
-    index: HashMap<(StateId, Item), StateItemId>,
+    /// Per state, the ids of its first node and of its first closure node,
+    /// then a final `[n, n]`. A state's nodes follow its item list, whose
+    /// kernel run and closure run are each sorted, so [`Self::get_node`]
+    /// binary-searches the two runs, and a node's index in its state's
+    /// item list (for [`Self::lookahead`]) is its distance from the
+    /// state's first node.
+    runs: Vec<[u32; 2]>,
     /// Forward transition (dot advance into the goto state), if any.
     trans: Vec<Option<StateItemId>>,
-    /// Each node's item index within its state — makes [`Self::lookahead`]
-    /// O(1) on the search hot path instead of a per-call linear scan of the
-    /// state's item list.
-    item_slot: Vec<u32>,
     /// Production steps: `(s, A -> α · B β)` to every `(s, B -> · γ)`.
     prods: Csr,
     /// Reverse transitions.
@@ -104,6 +104,7 @@ pub struct StateGraph {
 /// packed into one offsets array plus one data array, so the search's inner
 /// loops walk contiguous memory instead of a `Vec<Vec<_>>` of separate
 /// allocations.
+#[derive(Default)]
 struct Csr {
     offs: Vec<u32>,
     data: Vec<StateItemId>,
@@ -129,39 +130,43 @@ impl Csr {
 impl StateGraph {
     /// Builds the graph and its reverse-edge tables.
     pub fn build(g: &Grammar, auto: &Automaton) -> StateGraph {
-        // Nodes run state by state in item order, so a node's item slot is
-        // its position in its state's item list.
+        // Nodes run state by state in item order.
         let mut nodes = Vec::new();
-        let mut item_slot = Vec::new();
-        let mut index = HashMap::new();
+        let mut runs = Vec::with_capacity(auto.state_count() + 1);
         for sid in auto.state_ids() {
-            for (slot, &it) in auto.state(sid).items().iter().enumerate() {
-                let id = StateItemId(nodes.len() as u32);
-                nodes.push((sid, it));
-                item_slot.push(slot as u32);
-                index.insert((sid, it), id);
-            }
+            let st = auto.state(sid);
+            let first = nodes.len() as u32;
+            runs.push([first, first + st.kernel_len() as u32]);
+            nodes.extend(st.items().iter().map(|&it| (sid, it)));
         }
         let n = nodes.len();
-        let mut trans = vec![None; n];
+        runs.push([n as u32; 2]);
+        let mut graph = StateGraph {
+            nodes,
+            runs,
+            trans: vec![None; n],
+            prods: Csr::default(),
+            rev_trans: Csr::default(),
+            rev_prods: Csr::default(),
+        };
         let mut prods = vec![Vec::new(); n];
         let mut rev_trans = vec![Vec::new(); n];
         let mut rev_prods = vec![Vec::new(); n];
 
-        for (i, &(sid, it)) in nodes.iter().enumerate() {
+        for (i, &(sid, it)) in graph.nodes.iter().enumerate() {
             let st = auto.state(sid);
             if let Some(next) = it.next_symbol(g) {
                 // Transition edge.
                 let target_state = st
                     .transition(next)
                     .expect("state has transition for every item's next symbol");
-                let target = index[&(target_state, it.advance(g))];
-                trans[i] = Some(target);
+                let target = graph.node(target_state, it.advance(g));
+                graph.trans[i] = Some(target);
                 rev_trans[target.index()].push(StateItemId(i as u32));
                 // Production-step edges.
                 if g.kind(next) == SymbolKind::Nonterminal {
                     for &pid in g.prods_of(next) {
-                        let target = index[&(sid, Item::start(pid))];
+                        let target = graph.node(sid, Item::start(pid));
                         prods[i].push(target);
                         rev_prods[target.index()].push(StateItemId(i as u32));
                     }
@@ -169,15 +174,10 @@ impl StateGraph {
             }
         }
 
-        StateGraph {
-            nodes,
-            index,
-            trans,
-            item_slot,
-            prods: Csr::build(prods),
-            rev_trans: Csr::build(rev_trans),
-            rev_prods: Csr::build(rev_prods),
-        }
+        graph.prods = Csr::build(prods);
+        graph.rev_trans = Csr::build(rev_trans);
+        graph.rev_prods = Csr::build(rev_prods);
+        graph
     }
 
     /// Number of nodes (total items across all states).
@@ -191,13 +191,19 @@ impl StateGraph {
     ///
     /// Panics if the item is not part of the state.
     pub fn node(&self, state: StateId, item: Item) -> StateItemId {
-        self.index[&(state, item)]
+        self.get_node(state, item).expect("item is in the state")
     }
 
     /// The node for `(state, item)`, or `None` if the item is not in the
     /// state.
     pub fn get_node(&self, state: StateId, item: Item) -> Option<StateItemId> {
-        self.index.get(&(state, item)).copied()
+        let s = state.index();
+        let (&[first, closure], &[end, _]) = (self.runs.get(s)?, self.runs.get(s + 1)?);
+        [first..closure, closure..end].into_iter().find_map(|run| {
+            let items = &self.nodes[run.start as usize..run.end as usize];
+            let i = items.binary_search_by(|&(_, it)| it.cmp(&item)).ok()?;
+            Some(StateItemId(run.start + i as u32))
+        })
     }
 
     /// The state of a node.
@@ -233,8 +239,8 @@ impl StateGraph {
     /// The LALR(1) lookahead set of a node's item.
     pub fn lookahead<'a>(&self, auto: &'a Automaton, id: StateItemId) -> &'a TerminalSet {
         let sid = self.nodes[id.index()].0;
-        auto.state(sid)
-            .lookahead(self.item_slot[id.index()] as usize)
+        let slot = id.0 - self.runs[sid.index()][0];
+        auto.state(sid).lookahead(slot as usize)
     }
 
     /// Set of nodes that can reach `target` through reverse transitions and
