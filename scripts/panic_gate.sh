@@ -13,7 +13,8 @@
 # documenting structural invariants whose violation *is* the bug a
 # containment boundary should catch loudly — are listed in
 # scripts/panic_allowlist.txt as `file|substring` lines, each with a
-# justification comment.
+# justification comment. An entry that matches no occurrence also fails
+# the gate: left in place, it would silently pre-approve a future panic.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,7 @@ for f in crates/grammar/src/*.rs crates/lr/src/*.rs crates/core/src/*.rs; do
 done
 
 bad=0
+stale=0
 while IFS= read -r hit; do
   file="${hit%%:*}"
   ok=0
@@ -48,12 +50,30 @@ while IFS= read -r hit; do
   fi
 done < "$found"
 
+while IFS='|' read -r afile apat; do
+  [[ -z "$afile" || "$afile" == \#* ]] && continue
+  used=0
+  while IFS= read -r hit; do
+    if [[ "${hit%%:*}" == "$afile" && "$hit" == *"$apat"* ]]; then
+      used=1
+      break
+    fi
+  done < "$found"
+  if [[ "$used" -eq 0 ]]; then
+    echo "panic-gate: stale allowlist entry matches no occurrence; delete it:" >&2
+    echo "  $afile|$apat" >&2
+    stale=1
+  fi
+done < "$allowlist"
+
 if [[ "$bad" -ne 0 ]]; then
   echo "panic-gate: return a structured EngineError (crates/core/src/error.rs)" >&2
   echo "or GrammarError instead, or add a \`file|substring\` line with a" >&2
   echo "justification comment to $allowlist if the occurrence is genuinely" >&2
   echo "intended (a fault-injection probe, or an invariant whose violation" >&2
   echo "should trip a containment boundary loudly)." >&2
+fi
+if [[ "$bad" -ne 0 || "$stale" -ne 0 ]]; then
   exit 1
 fi
 echo "panic-gate: OK ($(grep -c . "$found" || true) allowlisted occurrences)"
