@@ -17,7 +17,7 @@
 //! The fourth memo holds each conflict's *decided verdict* — its
 //! [`ExampleKind`], both examples and the search counters that produced
 //! them — keyed by the conflict and the work caps of its search
-//! (`extended`, `max_configs`, `max_cost`). Only a search that ended on
+//! (`extended`, `max_configs`). Only a search that ended on
 //! its own (a unifying example, or an exhausted space) with no fault and
 //! no cancel is stored, so a warm `analyze` or `explain` of the same
 //! grammar returns every decided conflict without searching, and a
@@ -94,8 +94,8 @@ pub struct Engine<'g> {
 type ProbeKey = (StateId, SymbolId, ProdId, usize);
 
 /// The verdict memo key: the conflict and the work caps of its search —
-/// `extended`, `max_configs` and `max_cost`, but not the clock.
-type VerdictKey = (Conflict, bool, usize, u32);
+/// `extended` and `max_configs`, but not the clock.
+type VerdictKey = (Conflict, bool, usize);
 
 /// A conflict's decided verdict: what its search and nonunifying
 /// construction produced, and the counters of that search.
@@ -104,24 +104,6 @@ struct Verdict {
     unifying: Option<UnifyingExample>,
     nonunifying: Option<NonunifyingExample>,
     search: SearchMetrics,
-}
-
-/// A read-only view of every conflict-independent fact the engine built for
-/// a grammar — the *fact-sharing seam* between the conflict search and
-/// other workloads (the `lalrcex-lint` static-analysis passes consume this
-/// so nullable/FIRST/reachability/automaton are computed exactly once).
-/// The state-item graph is not part of it: it is built lazily, and only
-/// for conflict explanations ([`Engine::graph`]).
-#[derive(Clone, Copy)]
-pub struct Facts<'e> {
-    /// The grammar the facts describe.
-    pub grammar: &'e Grammar,
-    /// Nullable / FIRST / FOLLOW / reachability / productivity tables.
-    pub analysis: &'e Analysis,
-    /// The LALR automaton with per-item lookahead sets.
-    pub automaton: &'e Automaton,
-    /// Resolved parse tables, surviving conflicts, precedence resolutions.
-    pub tables: &'e Tables,
 }
 
 /// The outcome of replaying a precedence-resolved conflict through the
@@ -248,18 +230,6 @@ impl<'g> Engine<'g> {
     /// productivity), computed once as part of automaton construction.
     pub fn analysis(&self) -> &Analysis {
         self.auto.analysis()
-    }
-
-    /// Every conflict-independent fact in one read-only bundle — the
-    /// sharing seam consumed by the lint passes (and any future workload
-    /// that wants the precomputation without re-running it).
-    pub fn facts(&self) -> Facts<'_> {
-        Facts {
-            grammar: &self.g,
-            analysis: self.auto.analysis(),
-            automaton: &self.auto,
-            tables: &self.tables,
-        }
     }
 
     /// Time spent building the conflict-independent state, per layer;
@@ -448,17 +418,10 @@ impl<'g> Engine<'g> {
             let (spine, _) = self.spine(&conflict);
             let cfg = SearchConfig {
                 // Effectively infinite (a bounded search never gets anywhere
-                // near this): determinism comes from the node budgets alone.
+                // near this): determinism comes from the node budget alone.
                 time_limit: Duration::from_secs(3600),
                 extended: false,
                 max_configs,
-                // Bounds derivation depth, and with it the per-configuration
-                // clone cost: without it, an adversarial unambiguous grammar
-                // can drive the search into configurations whose derivations
-                // grow with every step (quadratic total work and stack-deep
-                // recursive clones). Genuine masked ambiguities are found at
-                // tiny costs; 512 leaves ample headroom.
-                max_cost: 512,
             };
             let mut metrics = crate::stats::SearchMetrics::default();
             match unifying_search_cancellable(
@@ -544,8 +507,8 @@ impl<'g> Engine<'g> {
     /// Where the unifying search would start — the token live, the
     /// deadline ahead and the per-conflict `time_limit` above zero — the
     /// verdict memo is consulted first: a conflict already decided on this
-    /// engine under the same `extended`, `max_configs` and `max_cost`
-    /// returns its stored report, with the stored search counters and
+    /// engine under the same `extended` and `max_configs` returns its
+    /// stored report, with the stored search counters and
     /// [`SearchStats::verdict_memo_hit`] set, and neither search phase
     /// runs. A verdict is stored only when the search ended
     /// [`ExampleKind::Unifying`] or [`ExampleKind::NonunifyingExhausted`],
@@ -585,12 +548,7 @@ impl<'g> Engine<'g> {
             stats.spine_nodes = spine.nodes_expanded;
         }
 
-        let key = (
-            *conflict,
-            cfg.search.extended,
-            cfg.search.max_configs,
-            cfg.search.max_cost,
-        );
+        let key = (*conflict, cfg.search.extended, cfg.search.max_configs);
         let mut fault: Option<EngineError> = None;
         let remaining = deadline.saturating_duration_since(Instant::now());
         let (kind, unifying) = if cancel.is_cancelled() {
@@ -919,19 +877,6 @@ mod tests {
             ),
             "2 configs cannot complete the search"
         );
-    }
-
-    #[test]
-    fn facts_share_engine_precomputation() {
-        let g = figure1();
-        let engine = Engine::new(&g);
-        let facts = engine.facts();
-        assert!(std::ptr::eq(facts.grammar, engine.grammar()));
-        assert!(std::ptr::eq(facts.analysis, engine.analysis()));
-        assert!(std::ptr::eq(facts.tables, engine.tables()));
-        assert!(std::ptr::eq(facts.automaton, engine.automaton()));
-        let s = g.symbol_named("stmt").unwrap();
-        assert!(facts.analysis.reachable(s));
     }
 
     #[test]

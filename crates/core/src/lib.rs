@@ -57,7 +57,7 @@ pub mod validate;
 pub use cache::{content_hash, tagged_hash, BuildError, CacheStats, CachedEngine, EngineCache};
 pub use cancel::CancelToken;
 pub use contain::contain;
-pub use engine::{hardware_workers, resolve_workers, Engine, Facts, ResolutionProbe, Spine};
+pub use engine::{hardware_workers, resolve_workers, Engine, ResolutionProbe, Spine};
 pub use error::EngineError;
 pub use nonunifying::{nonunifying_example, NonunifyingExample};
 pub use provenance::{

@@ -34,10 +34,11 @@
 //! deterministic state budget; a grammar that exhausts it falls back to
 //! the conservative `TrueAmbiguityCandidate` with
 //! [`ConflictProvenance::lr1_checked`] `false`. Everything here is pure
-//! precomputation over [`crate::Facts`]: no clocks are consulted, no
-//! randomness exists, and the output is byte-identical at any worker
-//! count. The engine runs it under containment (phase
-//! `"provenance.compute"`) with a fault-injection probe of the same name.
+//! precomputation over the engine's grammar, analyses and automaton: no
+//! clocks are consulted, no randomness exists, and the output is
+//! byte-identical at any worker count. The engine runs it under
+//! containment (phase `"provenance.compute"`) with a fault-injection probe
+//! of the same name.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

@@ -4,12 +4,13 @@
 //! conflict* (Figure 8): one is forced to take the conflict reduction, the
 //! other the conflict shift (or second reduction). Configurations hold one
 //! item sequence and one partial-derivation list per parser (the lists are
-//! rebuilt on demand, see below); successor configurations implement the eight actions of Figure 10 — transitions,
-//! production steps, reverse transitions, reverse production steps, and
-//! reductions, each on either parser. The search is ordered by a cost that
-//! penalises production steps and repeated items (§5.4), and terminates
-//! when both parsers have derived the same nonterminal with structurally
-//! distinct derivations — a proof of ambiguity.
+//! rebuilt on demand, see below); successor configurations implement the
+//! eight actions of Figure 10 — transitions, production steps, reverse
+//! transitions, reverse production steps, and reductions, each on either
+//! parser. The search is ordered by a cost that penalises production steps
+//! and repeated items (§5.4), and terminates when both parsers have derived
+//! the same nonterminal with structurally distinct derivations — a proof
+//! of ambiguity.
 //!
 //! # Data-oriented core
 //!
@@ -24,8 +25,8 @@
 //! and only a configuration that passes the cheap completion checks needs
 //! them, a couple of times per search. Each record keeps a parent link and
 //! a one-byte [`Edit`] instead; [`Search::replay`] walks the chain back to
-//! the initial configuration and replays the edits into a local
-//! derivation DAG (nodes whose child lists are spans in a word pool).
+//! the initial configuration and replays the edits into two lists of
+//! [`Derivation`] trees.
 //!
 //! Every Figure 10 action edits a sequence at one end, so a successor
 //! costs O(edit): a couple of cons cells plus an incremental update of the
@@ -52,14 +53,14 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use lalrcex_grammar::{Grammar, SymbolId, SymbolKind, TerminalSet};
+use lalrcex_grammar::{Derivation, Grammar, SymbolId, SymbolKind, TerminalSet};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, StateId};
 
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::soa::{
-    itemh, mix, wpow, BucketQueue, CellArena, DerivArena, FactMap, Pool, Seq, SetInterner, Visited,
-    DOT, NO_PENDING, SEQ_X, SEQ_XINV,
+    itemh, mix, wpow, BucketQueue, CellArena, FactMap, Seq, SetInterner, Visited, NO_PENDING,
+    SEQ_X, SEQ_XINV,
 };
 use crate::state_graph::{NodeSet, StateGraph, StateItemId};
 use crate::stats::SearchMetrics;
@@ -98,17 +99,9 @@ pub struct SearchConfig {
     /// stores more than `max_configs`, so it stores at most `max_configs`
     /// plus the successors of one configuration, and then stops with a
     /// deterministic [`SearchOutcome::TimedOut`]. At the default (2²¹) the
-    /// stackovf08 corpus grammar peaks near 430 MB RSS with one worker;
+    /// stackovf08 corpus grammar peaks near 330 MB RSS with one worker;
     /// the worker count bounds how many searches are in flight at once.
     pub max_configs: usize,
-    /// Hard cap on a configuration's accumulated cost. Every search step
-    /// costs at least 1, so this also bounds the depth and size of the
-    /// derivations a configuration carries — successors beyond the cap are
-    /// pruned, turning runaway searches on pathological grammars into a
-    /// deterministic [`SearchOutcome::TimedOut`]. The default (`u32::MAX`)
-    /// disables the cap; clock-free callers (the lint masking probe) set
-    /// it so their worst case is bounded without consulting the clock.
-    pub max_cost: u32,
 }
 
 impl Default for SearchConfig {
@@ -117,7 +110,6 @@ impl Default for SearchConfig {
             time_limit: Duration::from_secs(5),
             extended: false,
             max_configs: 1 << 21,
-            max_cost: u32::MAX,
         }
     }
 }
@@ -129,9 +121,9 @@ pub struct UnifyingExample {
     /// derivations unify).
     pub nonterminal: SymbolId,
     /// Derivation taking the conflict reduction.
-    pub derivation1: lalrcex_grammar::Derivation,
+    pub derivation1: Derivation,
     /// Derivation taking the conflict shift (or second reduction).
-    pub derivation2: lalrcex_grammar::Derivation,
+    pub derivation2: Derivation,
 }
 
 impl UnifyingExample {
@@ -150,8 +142,7 @@ pub enum SearchOutcome {
     /// shortest-path restriction unless `extended` was set).
     Exhausted,
     /// A cutoff stopped the search: the per-conflict clock, the
-    /// [`SearchConfig::max_configs`] or [`SearchConfig::max_cost`] cap, or
-    /// a raised [`CancelToken`].
+    /// [`SearchConfig::max_configs`] cap, or a raised [`CancelToken`].
     TimedOut,
 }
 
@@ -294,15 +285,10 @@ struct Search<'a> {
     rr: bool,
     /// States allowed as reverse-transition targets (`None` = extended).
     allowed: Option<NodeSet>,
-    /// [`SearchConfig::max_cost`].
-    max_cost: u32,
     mem: Mem,
     visited: Visited,
     queue: BucketQueue,
     metrics: &'a mut SearchMetrics,
-    /// Whether a successor was pruned by `max_cost`: a drained queue then
-    /// proves nothing.
-    cost_pruned: bool,
     /// Transient back-read item values (reduction predecessors).
     vals: Vec<u32>,
     /// Transient cell-walk scratch.
@@ -338,12 +324,10 @@ impl<'a> Search<'a> {
                 }
                 Some(set)
             },
-            max_cost: cfg.max_cost,
             mem: Mem::new(),
             visited: Visited::new(),
             queue: BucketQueue::new(),
             metrics,
-            cost_pruned: false,
             vals: Vec::new(),
             scratch: Vec::new(),
             memo: FactMap::default(),
@@ -356,13 +340,6 @@ impl<'a> Search<'a> {
 
     fn lookahead(&self, id: StateItemId) -> &'a TerminalSet {
         self.graph.lookahead(self.auto, id)
-    }
-
-    /// Whether a successor of cost `cost` is within the cost cap; records
-    /// the pruning otherwise.
-    fn affordable(&mut self, cost: u32) -> bool {
-        self.cost_pruned |= cost > self.max_cost;
-        cost <= self.max_cost
     }
 
     /// Dedups the successor of `parent` that applies `op` to its item
@@ -380,9 +357,6 @@ impl<'a> Search<'a> {
         h: [u64; 2],
         edit: Edit,
     ) {
-        if !self.affordable(cost) {
-            return;
-        }
         let mut len = self.mem.ilen(parent);
         for (l, op) in len.iter_mut().zip(op) {
             *l = match op {
@@ -574,12 +548,6 @@ impl<'a> Search<'a> {
             }
             (&x != pn).then_some(x)
         };
-        // The cost cap is checked before interning, so a pruned successor
-        // never interns its set.
-        let cost = self.mem.cost[i] + REDUCE_COST;
-        if !self.affordable(cost) {
-            return;
-        }
         let mut pend = self.mem.pend[i];
         if let Some(x) = new_set {
             pend[p] = self.mem.sets.intern(x);
@@ -594,6 +562,7 @@ impl<'a> Search<'a> {
         let mut h = self.mem.ihash[i];
         h[p] = h_append(h_pop_back(h[p], &self.vals[..=l]), goto_w);
         let flags = self.mem.flags[i] | (1 << p);
+        let cost = self.mem.cost[i] + REDUCE_COST;
         self.commit(i, cost, flags, pend, op, h, Edit::Reduce(p as u8));
     }
 
@@ -702,16 +671,16 @@ impl<'a> Search<'a> {
         }
         // Past the cheap rejects: rebuild the two derivation lists off the
         // hot path.
-        let r = self.replay(idx, cfg!(debug_assertions));
-        let d0 = single_derivation(&r.lists[0])?;
-        let d1 = single_derivation(&r.lists[1])?;
-        if r.nodes.strip_eq(&r.kids, d0, d1) {
+        let [l0, l1] = self.replay(idx, cfg!(debug_assertions));
+        let d0 = single_derivation(l0)?;
+        let d1 = single_derivation(l1)?;
+        if d0.strip_dots() == d1.strip_dots() {
             return None;
         }
         Some(UnifyingExample {
             nonterminal: a,
-            derivation1: r.nodes.materialize(&r.kids, d0),
-            derivation2: r.nodes.materialize(&r.kids, d1),
+            derivation1: d0,
+            derivation2: d1,
         })
     }
 
@@ -724,7 +693,7 @@ impl<'a> Search<'a> {
     /// With `check_items`, the item sequences of every configuration on
     /// the chain are rebuilt alongside and asserted equal to the stored
     /// ones (debug builds and tests).
-    fn replay(&self, idx: usize, check_items: bool) -> Replay {
+    fn replay(&self, idx: usize, check_items: bool) -> [VecDeque<Derivation>; 2] {
         let mem = &self.mem;
         let mut chain = Vec::new();
         let mut c = idx;
@@ -732,11 +701,10 @@ impl<'a> Search<'a> {
             chain.push(c);
             c = mem.parent[c] as usize;
         }
-        let mut r = Replay {
-            nodes: DerivArena::new(self.g.symbol_count()),
-            kids: Pool::new(),
-            lists: [VecDeque::from([DOT]), VecDeque::from([DOT])],
-        };
+        let mut lists = [
+            VecDeque::from([Derivation::Dot]),
+            VecDeque::from([Derivation::Dot]),
+        ];
         let mut items = check_items.then(|| self.stored_items(0));
         for &c in chain.iter().rev() {
             let par = mem.parent[c] as usize;
@@ -748,24 +716,25 @@ impl<'a> Search<'a> {
                         .item(mem.ifirst[par][0])
                         .prev_symbol(self.g)
                         .expect("reverse transition requires dot > 0");
-                    let leaf = r.nodes.leaf(sym);
-                    r.lists.iter_mut().for_each(|d| d.push_front(leaf));
+                    lists
+                        .iter_mut()
+                        .for_each(|d| d.push_front(Derivation::Leaf(sym)));
                 }
                 Edit::JointTransition => {
                     let sym = last(0)
                         .next_symbol(self.g)
                         .expect("derivations match transitions");
-                    let leaf = r.nodes.leaf(sym);
-                    r.lists.iter_mut().for_each(|d| d.push_back(leaf));
+                    lists
+                        .iter_mut()
+                        .for_each(|d| d.push_back(Derivation::Leaf(sym)));
                 }
                 Edit::Reduce(p) => {
                     let p = p as usize;
                     let prod = self.g.prod(last(p).prod());
-                    let d = &mut r.lists[p];
+                    let d = &mut lists[p];
                     let pops = dlist_pops(d, prod.rhs().len(), mem.flags[par] & (1 << p) != 0);
-                    let kids: Vec<u32> = d.drain(d.len() - pops..).collect();
-                    let off = r.kids.extend(&kids);
-                    d.push_back(r.nodes.push_node(prod.lhs(), off, pops as u32));
+                    let kids = d.drain(d.len() - pops..).collect();
+                    d.push_back(Derivation::Node(prod.lhs(), kids));
                 }
             }
             if let Some(items) = &mut items {
@@ -773,7 +742,7 @@ impl<'a> Search<'a> {
                 assert_eq!(*items, self.stored_items(c), "replayed items of {c}");
             }
         }
-        r
+        lists
     }
 
     /// Applies the item edit of the step into configuration `c` to its
@@ -901,21 +870,8 @@ impl<'a> Search<'a> {
             }
             self.metrics.frontier_peak = self.metrics.frontier_peak.max(self.queue.len() as u64);
         }
-        // A drained queue only proves exhaustion if nothing was cost-pruned.
-        if self.cost_pruned {
-            SearchOutcome::TimedOut
-        } else {
-            SearchOutcome::Exhausted
-        }
+        SearchOutcome::Exhausted
     }
-}
-
-/// A configuration's derivation lists rebuilt by [`Search::replay`], with
-/// the local node arena and child pool they refer to.
-struct Replay {
-    nodes: DerivArena,
-    kids: Pool,
-    lists: [VecDeque<u32>; 2],
 }
 
 /// How many trailing entries (dot markers included) of derivation list
@@ -923,14 +879,14 @@ struct Replay {
 /// children are exactly a suffix of the list, found by counting entries
 /// back from the end until `l` non-dots have been seen. `reduced` tells
 /// whether the parser had reduced before.
-fn dlist_pops(list: &VecDeque<u32>, l: usize, reduced: bool) -> usize {
+fn dlist_pops(list: &VecDeque<Derivation>, l: usize, reduced: bool) -> usize {
     if l == 0 {
         // An ε-reduction at the conflict point keeps the dot inside.
-        return usize::from(!reduced && list.back() == Some(&DOT));
+        return usize::from(!reduced && list.back() == Some(&Derivation::Dot));
     }
     let mut need = l;
-    let last_child = list.iter().rev().position(|&d| {
-        need -= usize::from(d != DOT);
+    let last_child = list.iter().rev().position(|d| {
+        need -= usize::from(*d != Derivation::Dot);
         need == 0
     });
     last_child.expect("derivations match transitions") + 1
@@ -966,10 +922,10 @@ fn cand_items_eq(mem: &Mem, parent: usize, op: [ItemOp; 2], o: usize) -> bool {
 }
 
 /// The unique non-dot derivation in a list, if there is exactly one.
-fn single_derivation(list: &VecDeque<u32>) -> Option<u32> {
+fn single_derivation(list: VecDeque<Derivation>) -> Option<Derivation> {
     let mut found = None;
-    for &d in list {
-        if d == DOT {
+    for d in list {
+        if d == Derivation::Dot {
             continue;
         }
         if found.is_some() {
@@ -1243,20 +1199,20 @@ mod tests {
                 let mut search = Search::new(&g, &auto, &graph, c, &states, &cfg, &mut metrics);
                 search.run(c, &cfg, &CancelToken::new());
                 for idx in 0..search.mem.len() {
-                    let r = search.replay(idx, true);
-                    let [s0, s1] = r.lists.each_ref().map(|list| {
+                    let lists = search.replay(idx, true);
+                    let [s0, s1] = lists.each_ref().map(|list| {
                         let mut out = Vec::new();
-                        for &d in list {
-                            r.nodes.materialize(&r.kids, d).leaves_into(&mut out);
+                        for d in list {
+                            d.leaves_into(&mut out);
                         }
                         out
                     });
                     assert_eq!(s0, s1, "configuration {idx}");
-                    for p in 0..2 {
+                    for (p, list) in lists.iter().enumerate() {
                         let reduced_conflict_item =
                             search.mem.flags[idx] & (1 << p) != 0 && (p == 0 || search.rr);
                         if reduced_conflict_item {
-                            assert!(!r.lists[p].contains(&DOT), "configuration {idx}");
+                            assert!(!list.contains(&Derivation::Dot), "configuration {idx}");
                         }
                     }
                     let edit = search.mem.edit[idx];
@@ -1269,7 +1225,7 @@ mod tests {
                     let before = search.replay(par, false);
                     if g.prod(search.item(last).prod()).rhs().is_empty()
                         && search.mem.flags[par] & (1 << p) == 0
-                        && before.lists[p].back() == Some(&DOT)
+                        && before[p].back() == Some(&Derivation::Dot)
                     {
                         dot_wraps += 1;
                     }

@@ -1,11 +1,12 @@
 //! Data-oriented storage primitives for the unifying search (§5).
 //!
 //! The product-parser search expands millions of configurations on the big
-//! Table 1 grammars; the former representation (one heap-allocated `Config`
-//! per node with owned item vectors, owned derivation *trees*, and owned
-//! lookahead sets, deep-cloned on every successor) spent almost all of its
-//! time in `clone`/`drop`/`Vec::insert(0, …)`. This module provides the
-//! flat replacements:
+//! Table 1 grammars; one heap-allocated record per configuration, with
+//! owned item vectors and lookahead sets deep-cloned on every successor,
+//! spends almost all of its time in `clone`/`drop`/`Vec::insert(0, …)`.
+//! This module provides the flat storage a configuration's record uses
+//! instead (its derivations are not stored at all; [`crate::search`]
+//! rebuilds them by replay):
 //!
 //! * [`CellArena`] + [`Seq`] — item sequences as persistent
 //!   double-ended sequences built from immutable cons cells.
@@ -15,14 +16,6 @@
 //!   on the deep, narrow frontiers of the Stack Overflow grammars (tens of
 //!   gigabytes of memcpy for a 200k-configuration search); the cell
 //!   representation keeps the whole search cache-resident.
-//! * [`Pool`] — an append-only `u32` word pool with deterministic capacity
-//!   growth, holding the materialized child spans of reduction nodes.
-//! * [`DerivArena`] — derivations as a DAG of struct-of-arrays nodes.
-//!   Node `0` is the conflict dot, nodes `1..=symbols` are interned leaves
-//!   (one per grammar symbol, created once), and reductions append one node
-//!   whose child list is a span in the [`Pool`] — building a reduction is
-//!   O(children) in tree size where the old representation deep-cloned the
-//!   whole tree. The search builds one per replayed configuration.
 //! * [`SetInterner`] — hash-consed [`TerminalSet`]s so pending-lookahead
 //!   constraints compare and hash as `u32` ids.
 //! * [`BucketQueue`] — a radix-by-cost ring replacing the binary heap.
@@ -42,7 +35,7 @@
 
 use std::collections::HashMap;
 
-use lalrcex_grammar::{Derivation, SymbolId, TerminalSet};
+use lalrcex_grammar::TerminalSet;
 
 /// Deterministic capacity growth: double from a fixed floor until `needed`
 /// fits. `Vec`'s own amortized growth is also deterministic in practice,
@@ -56,38 +49,6 @@ fn grow_to<T>(v: &mut Vec<T>, needed: usize) {
         cap *= 2;
     }
     v.reserve_exact(cap - v.len());
-}
-
-/// An append-only pool of `u32` words holding immutable spans.
-#[derive(Default)]
-pub struct Pool {
-    data: Vec<u32>,
-}
-
-impl Pool {
-    /// An empty pool.
-    pub fn new() -> Pool {
-        Pool::default()
-    }
-
-    /// Words currently stored.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Appends a slice; returns the offset of its first word.
-    pub fn extend(&mut self, words: &[u32]) -> usize {
-        let off = self.data.len();
-        grow_to(&mut self.data, off + words.len());
-        self.data.extend_from_slice(words);
-        off
-    }
-
-    /// The span starting at `off` with `len` words.
-    pub fn slice(&self, off: usize, len: usize) -> &[u32] {
-        &self.data[off..off + len]
-    }
 }
 
 /// Sentinel id for an empty cons list.
@@ -463,123 +424,6 @@ pub fn itemh(v: u32) -> u64 {
     mix(0x00C0_FFEE, v as u64)
 }
 
-/// Derivation id of the conflict-dot marker.
-pub const DOT: u32 = 0;
-
-/// Derivations as struct-of-arrays DAG nodes; see the module docs.
-pub struct DerivArena {
-    /// Symbol index per node (`u32::MAX` for the dot).
-    sym: Vec<u32>,
-    /// Child-list span offset into the derivation-list [`Pool`] (leaves and
-    /// the dot have empty child lists).
-    kids_off: Vec<usize>,
-    /// Child-list span length.
-    kids_len: Vec<u32>,
-    /// Nodes `1..=symbols` are the interned leaves.
-    symbols: usize,
-}
-
-impl DerivArena {
-    /// An arena pre-seeded with the dot node and one leaf per grammar
-    /// symbol (leaf of symbol `s` is node `1 + s.index()`).
-    pub fn new(symbols: usize) -> DerivArena {
-        let mut sym = Vec::with_capacity(symbols + 1);
-        sym.push(u32::MAX);
-        for s in 0..symbols {
-            sym.push(s as u32);
-        }
-        DerivArena {
-            sym,
-            kids_off: vec![0; symbols + 1],
-            kids_len: vec![0; symbols + 1],
-            symbols,
-        }
-    }
-
-    /// The interned leaf node for `sym`.
-    pub fn leaf(&self, sym: SymbolId) -> u32 {
-        debug_assert!(sym.index() < self.symbols);
-        (1 + sym.index()) as u32
-    }
-
-    /// Appends an expanded node; `kids` is a span in the child-span
-    /// [`Pool`] (spans are immutable).
-    pub fn push_node(&mut self, sym: SymbolId, kids_off: usize, kids_len: u32) -> u32 {
-        let id = self.sym.len() as u32;
-        self.sym.push(sym.index() as u32);
-        self.kids_off.push(kids_off);
-        self.kids_len.push(kids_len);
-        id
-    }
-
-    /// Total nodes (including the pre-seeded dot and leaves).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.sym.len()
-    }
-
-    /// Whether the arena holds only the pre-seeded nodes.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.sym.len() <= 1 + self.symbols
-    }
-
-    /// Is `id` an expanded (non-leaf, non-dot) node?
-    fn is_node(&self, id: u32) -> bool {
-        id as usize > self.symbols
-    }
-
-    /// Structural equality of two derivations *after stripping dots*, the
-    /// §5.4 distinctness check, evaluated directly on the DAG. Shared
-    /// subtrees (equal ids) short-circuit.
-    pub fn strip_eq(&self, pool: &Pool, a: u32, b: u32) -> bool {
-        if a == b {
-            return true;
-        }
-        // Leaves are interned, so distinct leaf/dot ids are distinct
-        // derivations; a leaf never equals an expanded node (strip_dots
-        // keeps the `Node` variant even when all children are dots).
-        if !self.is_node(a) || !self.is_node(b) {
-            return false;
-        }
-        let (ai, bi) = (a as usize, b as usize);
-        if self.sym[ai] != self.sym[bi] {
-            return false;
-        }
-        let ka = pool.slice(self.kids_off[ai], self.kids_len[ai] as usize);
-        let kb = pool.slice(self.kids_off[bi], self.kids_len[bi] as usize);
-        let mut ia = ka.iter().copied().filter(|&k| k != DOT);
-        let mut ib = kb.iter().copied().filter(|&k| k != DOT);
-        loop {
-            match (ia.next(), ib.next()) {
-                (None, None) => return true,
-                (Some(x), Some(y)) => {
-                    if !self.strip_eq(pool, x, y) {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
-    }
-
-    /// Rebuilds the owned [`Derivation`] tree for `id` (only done once, for
-    /// the winning configuration).
-    pub fn materialize(&self, pool: &Pool, id: u32) -> Derivation {
-        if id == DOT {
-            return Derivation::Dot;
-        }
-        let i = id as usize;
-        let sym = SymbolId::from_index(self.sym[i] as usize);
-        if !self.is_node(id) {
-            return Derivation::Leaf(sym);
-        }
-        let kids = pool.slice(self.kids_off[i], self.kids_len[i] as usize);
-        let kids = kids.iter().map(|&k| self.materialize(pool, k)).collect();
-        Derivation::Node(sym, kids)
-    }
-}
-
 /// Pending-constraint id meaning "no constraint".
 pub const NO_PENDING: u32 = u32::MAX;
 
@@ -813,17 +657,6 @@ pub fn hash_words(seed: u64, words: &[u32]) -> u64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn pool_spans_are_stable() {
-        let mut p = Pool::new();
-        let a = p.extend(&[1, 2, 3]);
-        let b = p.extend(&[4, 5]);
-        assert_eq!(p.slice(a, 3), &[1, 2, 3]);
-        assert_eq!(p.slice(b, 2), &[4, 5]);
-        assert_eq!(p.len(), 5);
-        assert!(p.data.capacity() >= 64, "deterministic floor");
-    }
-
     fn items(ar: &CellArena, s: Seq) -> Vec<u32> {
         let (mut out, mut sc) = (Vec::new(), Vec::new());
         s.materialize(ar, &mut out, &mut sc);
@@ -984,33 +817,5 @@ mod tests {
         assert_eq!(it.intern(a), 0, "re-interning is stable");
         assert_eq!(it.get(1), &b);
         assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn deriv_arena_leaves_and_strip_eq() {
-        let mut pool = Pool::new();
-        let mut ar = DerivArena::new(4);
-        assert!(ar.is_empty(), "only pre-seeded nodes");
-        assert_eq!(ar.len(), 5, "dot + one leaf per symbol");
-        let s0 = SymbolId::from_index(0);
-        let s1 = SymbolId::from_index(1);
-        assert_ne!(ar.leaf(s0), ar.leaf(s1));
-        assert!(ar.strip_eq(&pool, ar.leaf(s0), ar.leaf(s0)));
-        assert!(!ar.strip_eq(&pool, ar.leaf(s0), ar.leaf(s1)));
-
-        // Node(s1, [leaf0, Dot]) strip-equals Node(s1, [Dot, leaf0]) …
-        let k1 = pool.extend(&[ar.leaf(s0), DOT]);
-        let n1 = ar.push_node(s1, k1, 2);
-        let k2 = pool.extend(&[DOT, ar.leaf(s0)]);
-        let n2 = ar.push_node(s1, k2, 2);
-        assert!(ar.strip_eq(&pool, n1, n2));
-        // … but not a bare leaf of s1 (Node survives strip_dots).
-        assert!(!ar.strip_eq(&pool, n1, ar.leaf(s1)));
-
-        let d = ar.materialize(&pool, n1);
-        assert_eq!(
-            d,
-            Derivation::Node(s1, vec![Derivation::Leaf(s0), Derivation::Dot])
-        );
     }
 }

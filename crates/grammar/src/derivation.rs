@@ -400,4 +400,26 @@ mod tests {
         );
         assert_eq!(d.leaves().len(), 6, "dot is not a leaf");
     }
+
+    /// The §5.4 distinctness check compares derivations after
+    /// `strip_dots`.
+    #[test]
+    fn strip_dots_equality_ignores_dot_placement() {
+        let (s0, s1) = (SymbolId::from_index(0), SymbolId::from_index(1));
+        let leaf = |s| Derivation::Leaf(s);
+        assert_eq!(leaf(s0).strip_dots(), leaf(s0).strip_dots());
+        assert_ne!(leaf(s0).strip_dots(), leaf(s1).strip_dots());
+        assert_eq!(Derivation::Dot.strip_dots(), None);
+
+        let a = Derivation::Node(s1, vec![leaf(s0), Derivation::Dot]);
+        let b = Derivation::Node(s1, vec![Derivation::Dot, leaf(s0)]);
+        assert_ne!(a, b);
+        assert_eq!(a.strip_dots(), b.strip_dots());
+        // A node survives stripping, even with only a dot below it, so it
+        // never equals a bare leaf of its symbol.
+        assert_ne!(a.strip_dots(), leaf(s1).strip_dots());
+        let only_dot = Derivation::Node(s1, vec![Derivation::Dot]);
+        assert_eq!(only_dot.strip_dots(), Some(Derivation::Node(s1, vec![])));
+        assert_ne!(only_dot.strip_dots(), leaf(s1).strip_dots());
+    }
 }

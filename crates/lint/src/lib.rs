@@ -9,10 +9,10 @@
 //! that silenced a conflict the counterexample search can prove genuinely
 //! ambiguous.
 //!
-//! Every pass runs over [`lalrcex_core::Facts`], the read-only bundle of
-//! conflict-independent state the [`Engine`] builds exactly once per
-//! grammar (nullable/FIRST/reachability, the LALR automaton, resolved
-//! tables). Linting a grammar whose conflicts were already analyzed
+//! Every pass runs over the [`Engine`], which builds the
+//! conflict-independent state exactly once per grammar
+//! (nullable/FIRST/reachability, the LALR automaton, resolved tables).
+//! Linting a grammar whose conflicts were already analyzed
 //! therefore costs no extra precomputation, and the
 //! *conflict-masking* pass reuses the engine's memoized §4 spines when it
 //! replays precedence-resolved conflicts through the §5 unifying search.
@@ -111,61 +111,19 @@ pub struct Diagnostic {
     pub related: Vec<Related>,
 }
 
-/// Tunables for the lint run.
-#[derive(Clone, Copy, Debug)]
-pub struct LintConfig {
-    /// Deterministic node budget for each conflict-masking probe (the §5
-    /// search is bounded by explored configurations, *not* wall clock, so
-    /// lint output is byte-identical across runs and machines).
-    ///
-    /// The probe deliberately has no wall-clock limit; its worst case is
-    /// bounded by this together with the engine's per-configuration cost
-    /// cap, which keeps derivations shallow on adversarial grammars. The
-    /// default finds every masked ambiguity in the Table 1 corpus with
-    /// plenty of headroom.
-    pub masking_max_configs: usize,
-    /// Cap on masking probes per grammar (one representative resolution is
-    /// probed per silenced reduce production; this bounds the worst case).
-    pub masking_max_probes: usize,
-}
-
-impl Default for LintConfig {
-    fn default() -> LintConfig {
-        LintConfig {
-            masking_max_configs: 1 << 16,
-            masking_max_probes: 256,
-        }
-    }
-}
-
-/// Everything a pass may look at: the engine's shared facts plus the
-/// engine itself (for the masking pass's spine-memoized probes) and the
-/// lint configuration.
-pub struct LintContext<'e> {
-    /// The conflict-independent facts (grammar, analysis, automaton,
-    /// tables), built once by the engine.
-    pub facts: lalrcex_core::Facts<'e>,
-    /// The engine, for passes that replay searches.
-    pub engine: &'e Engine<'e>,
-    /// Tunables.
-    pub cfg: &'e LintConfig,
-}
-
-/// A single analysis pass over the grammar facts.
+/// A single analysis pass over an engine's grammar facts.
 pub trait LintPass {
     /// The stable code of this pass.
     fn code(&self) -> LintCode;
     /// One-line description (shown by `lalrcex lint --list`).
     fn description(&self) -> &'static str;
     /// Appends this pass's findings to `out`.
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>);
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>);
 }
 
-/// The pass registry: an ordered set of [`LintPass`]es plus a
-/// [`LintConfig`].
+/// The pass registry: the built-in [`LintPass`]es, in code order.
 pub struct Linter {
     passes: Vec<Box<dyn LintPass>>,
-    cfg: LintConfig,
 }
 
 impl Default for Linter {
@@ -177,21 +135,9 @@ impl Default for Linter {
 impl Linter {
     /// A linter with every built-in pass registered, in code order.
     pub fn new() -> Linter {
-        Linter::with_config(LintConfig::default())
-    }
-
-    /// [`Linter::new`] with explicit tunables.
-    pub fn with_config(cfg: LintConfig) -> Linter {
         Linter {
             passes: passes::all_passes(),
-            cfg,
         }
-    }
-
-    /// Registers an additional pass.
-    pub fn register(&mut self, pass: Box<dyn LintPass>) -> &mut Self {
-        self.passes.push(pass);
-        self
     }
 
     /// The registered passes.
@@ -199,18 +145,13 @@ impl Linter {
         self.passes.iter().map(|p| p.as_ref())
     }
 
-    /// Runs every pass over an existing engine's facts (the cheap path
-    /// when conflict analysis already built one). Diagnostics are sorted
-    /// by (line, code, message) for deterministic output.
+    /// Runs every pass over an existing engine (the cheap path when
+    /// conflict analysis already built one). Diagnostics are sorted by
+    /// (line, code, message) for deterministic output.
     pub fn run(&self, engine: &Engine<'_>) -> Vec<Diagnostic> {
-        let ctx = LintContext {
-            facts: engine.facts(),
-            engine,
-            cfg: &self.cfg,
-        };
         let mut out = Vec::new();
         for pass in &self.passes {
-            pass.run(&ctx, &mut out);
+            pass.run(engine, &mut out);
         }
         out.sort_by(|a, b| {
             let ka = (a.span.map_or(0, |s| s.line), a.code.id, &a.message);
@@ -226,7 +167,7 @@ impl Linter {
     }
 }
 
-/// One-call convenience: lint `g` with every pass and default tunables.
+/// One-call convenience: lint `g` with every pass.
 pub fn lint(g: &Grammar) -> Vec<Diagnostic> {
     Linter::new().run_grammar(g)
 }

@@ -1,16 +1,16 @@
 //! The built-in lint passes.
 //!
-//! Each pass is a small pure function over [`lalrcex_core::Facts`]; the
-//! only exception is the conflict-masking pass, which replays silenced
-//! conflicts through the engine's deterministic, node-budgeted unifying
-//! search (reusing its memoized spines).
+//! Each pass is a small pure function over the engine's grammar, analyses
+//! and tables; the only exception is the conflict-masking pass, which
+//! replays silenced conflicts through the engine's deterministic,
+//! node-budgeted unifying search (reusing its memoized spines).
 
 use std::collections::{HashMap, HashSet};
 
-use lalrcex_core::{render_chain_step, ChainStep, Classification, ResolutionProbe};
+use lalrcex_core::{render_chain_step, ChainStep, Classification, Engine, ResolutionProbe};
 use lalrcex_grammar::{Grammar, ProdId, SymbolId};
 
-use crate::{Diagnostic, LintCode, LintContext, LintPass, Related, Severity, Span};
+use crate::{Diagnostic, LintCode, LintPass, Related, Severity, Span};
 
 /// Every built-in pass, in code order.
 pub(crate) fn all_passes() -> Vec<Box<dyn LintPass>> {
@@ -52,11 +52,11 @@ impl LintPass for Unreachable {
         "nonterminal unreachable from the start symbol"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
         for i in 0..g.nonterminal_count() {
             let nt = g.nonterminal(i);
-            if nt == g.accept() || ctx.facts.analysis.reachable(nt) {
+            if nt == g.accept() || engine.analysis().reachable(nt) {
                 continue;
             }
             out.push(Diagnostic {
@@ -89,11 +89,11 @@ impl LintPass for Unproductive {
         "nonterminal cannot derive any terminal string"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
         for i in 0..g.nonterminal_count() {
             let nt = g.nonterminal(i);
-            if nt == g.accept() || ctx.facts.analysis.productive(nt) {
+            if nt == g.accept() || engine.analysis().productive(nt) {
                 continue;
             }
             out.push(Diagnostic {
@@ -125,8 +125,8 @@ impl LintPass for UnusedTerminal {
         "declared terminal never used in any production"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
         let mut used = vec![false; g.terminal_count()];
         for p in g.productions() {
             for &s in p.rhs() {
@@ -170,8 +170,8 @@ impl LintPass for DuplicateProduction {
         "identical production appears more than once"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
         let mut first: HashMap<(SymbolId, &[SymbolId]), ProdId> = HashMap::new();
         for pid in g.prod_ids().skip(1) {
             let p = g.prod(pid);
@@ -209,9 +209,9 @@ type EdgeWitness = HashMap<(usize, usize), ProdId>;
 /// `A -> α B β` has every symbol of `α β` nullable. Returned as one
 /// reachability bitset (Vec<bool> row) per nonterminal, with a witness
 /// production per direct edge.
-fn derives_closure(ctx: &LintContext<'_>) -> (ReachRows, EdgeWitness) {
-    let g = ctx.facts.grammar;
-    let a = ctx.facts.analysis;
+fn derives_closure(engine: &Engine<'_>) -> (ReachRows, EdgeWitness) {
+    let g = engine.grammar();
+    let a = engine.analysis();
     let n = g.nonterminal_count();
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut witness: HashMap<(usize, usize), ProdId> = HashMap::new();
@@ -265,10 +265,10 @@ impl LintPass for CyclicNonterminal {
         "nonterminal derives itself (A =>+ A)"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
-        let a = ctx.facts.analysis;
-        let (reach, witness) = derives_closure(ctx);
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
+        let a = engine.analysis();
+        let (reach, witness) = derives_closure(engine);
         for (i, row) in reach.iter().enumerate() {
             if !row[i] {
                 continue;
@@ -310,9 +310,9 @@ impl LintPass for CyclicNonterminal {
 }
 
 /// The nullable-left-corner relation: `X ⇒ δ Y …` with `δ ⇒* ε`.
-fn left_corner_closure(ctx: &LintContext<'_>) -> Vec<Vec<bool>> {
-    let g = ctx.facts.grammar;
-    let a = ctx.facts.analysis;
+fn left_corner_closure(engine: &Engine<'_>) -> Vec<Vec<bool>> {
+    let g = engine.grammar();
+    let a = engine.analysis();
     let n = g.nonterminal_count();
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     for pid in g.prod_ids().skip(1) {
@@ -357,10 +357,10 @@ impl LintPass for HiddenLeftRecursion {
         "left recursion behind a nullable prefix"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
-        let a = ctx.facts.analysis;
-        let lc = left_corner_closure(ctx);
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
+        let a = engine.analysis();
+        let lc = left_corner_closure(engine);
         for pid in g.prod_ids().skip(1) {
             let p = g.prod(pid);
             let lhs = g.ntindex(p.lhs());
@@ -409,9 +409,9 @@ impl LintPass for NullableRepetition {
         "repeated nullable symbol makes derivations interchangeable"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
-        let a = ctx.facts.analysis;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
+        let a = engine.analysis();
         'prods: for pid in g.prod_ids().skip(1) {
             let p = g.prod(pid);
             let rhs = p.rhs();
@@ -462,10 +462,10 @@ impl LintPass for UnusedPrecedence {
         "declared precedence never resolves a conflict"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
         let mut used = vec![false; g.terminal_count()];
-        for r in ctx.facts.tables.resolutions() {
+        for r in engine.tables().resolutions() {
             used[g.tindex(r.terminal)] = true;
             // Credit the terminal the reduce production inherited its
             // precedence from (the last terminal of its right-hand side);
@@ -505,6 +505,16 @@ impl LintPass for UnusedPrecedence {
     }
 }
 
+/// Configuration cap of each conflict-masking probe. The probe's §5 search
+/// has no clock, so this cap alone bounds it, and lint output is
+/// byte-identical across runs and machines. It finds every masked
+/// ambiguity in the Table 1 corpus with plenty of headroom.
+const MASKING_MAX_CONFIGS: usize = 1 << 16;
+
+/// Masking probes per grammar: one representative resolution is probed per
+/// silenced reduce production, and this bounds the worst case.
+const MASKING_MAX_PROBES: usize = 256;
+
 /// `L009` — precedence resolutions that silenced a conflict whose
 /// counterexample search proves genuine ambiguity. One representative
 /// resolution is probed per silenced reduce production, through the
@@ -525,20 +535,19 @@ impl LintPass for ConflictMasking {
         "precedence resolution silences a provable ambiguity"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
         let mut seen: HashSet<ProdId> = HashSet::new();
         let mut probes = 0usize;
-        for r in ctx.facts.tables.resolutions() {
+        for r in engine.tables().resolutions() {
             if !seen.insert(r.reduce_prod) {
                 continue;
             }
-            if probes >= ctx.cfg.masking_max_probes {
+            if probes >= MASKING_MAX_PROBES {
                 break;
             }
             probes += 1;
-            let ResolutionProbe::Ambiguous(ex) =
-                ctx.engine.probe_resolution(r, ctx.cfg.masking_max_configs)
+            let ResolutionProbe::Ambiguous(ex) = engine.probe_resolution(r, MASKING_MAX_CONFIGS)
             else {
                 continue;
             };
@@ -595,9 +604,9 @@ impl LintPass for MergeArtifactConflict {
         "conflict exists only because LALR merged distinguishable LR(1) states"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
-        let Ok(prov) = ctx.engine.provenance() else {
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
+        let Ok(prov) = engine.provenance() else {
             // A contained provenance fault degrades this pass to silence;
             // the conflicts themselves are still reported by the engine.
             return;
@@ -653,9 +662,9 @@ impl LintPass for ConflictProvenanceInfo {
         "lookahead provenance attached to an unresolved conflict"
     }
 
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.facts.grammar;
-        let Ok(prov) = ctx.engine.provenance() else {
+    fn run(&self, engine: &Engine<'_>, out: &mut Vec<Diagnostic>) {
+        let g = engine.grammar();
+        let Ok(prov) = engine.provenance() else {
             return;
         };
         for p in prov.conflicts.iter().filter_map(|o| o.provenance()) {

@@ -9,7 +9,7 @@
 //! exercised too. Every failure is reproducible from the printed seed.
 
 use lalrcex::grammar::{Assoc, Grammar, GrammarBuilder};
-use lalrcex::lint::{lint, render_json, render_text, worst_severity, LintConfig, Linter, Severity};
+use lalrcex::lint::{lint, render_json, render_text, worst_severity, Linter, Severity};
 use lalrcex::prng::XorShift;
 
 const NT_COUNT: usize = 3;
@@ -106,7 +106,7 @@ fn lint_is_deterministic() {
         let a = lint(&g);
         let b = lint(&g);
         assert_eq!(a, b, "seed {seed}: diagnostics differ between runs");
-        let c = Linter::with_config(LintConfig::default()).run_grammar(&g);
+        let c = Linter::new().run_grammar(&g);
         assert_eq!(a, c, "seed {seed}: diagnostics differ between linters");
         assert_eq!(
             render_text("g.y", &a),
@@ -260,23 +260,5 @@ fn provenance_is_deterministic() {
         assert_eq!(render(&a), render(&b), "seed {seed}: renderings differ");
         // The memoized second call is identical to the first.
         assert_eq!(render(&a), render(&a), "seed {seed}: memo differs");
-    }
-}
-
-/// A tightened masking budget still yields deterministic (if possibly
-/// different) results — the budget is part of the observable behavior,
-/// not a race.
-#[test]
-fn masking_budget_is_deterministic() {
-    let cfg = LintConfig {
-        masking_max_configs: 64,
-        masking_max_probes: 4,
-    };
-    for seed in 0..CASES / 2 {
-        let mut rng = XorShift::new(0xB4D6 + seed);
-        let g = gen_grammar(&mut rng);
-        let a = Linter::with_config(cfg).run_grammar(&g);
-        let b = Linter::with_config(cfg).run_grammar(&g);
-        assert_eq!(a, b, "seed {seed}");
     }
 }
