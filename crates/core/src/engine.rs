@@ -28,7 +28,7 @@
 //!
 //! Per-conflict work — the product-parser unifying search (§5) and the
 //! nonunifying construction — fans out across a [`std::thread::scope`]
-//! worker pool (a single worker runs on the calling thread). A
+//! worker pool whose first worker is the calling thread. A
 //! deadline-aware scheduler enforces both limits of §6: each conflict's
 //! search runs under `min(time_limit, remaining grammar budget)`, and once
 //! the grammar-wide `cumulative_limit` is exhausted the remaining
@@ -724,15 +724,12 @@ impl<'g> Engine<'g> {
                 let _ = slots[i].set(report);
             }
         };
-        if workers == 1 {
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
             work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
+        });
         // Cancellation may leave unstarted slots: stub them so the
         // report still carries one entry per conflict.
         let reports: Vec<ConflictReport> = slots
