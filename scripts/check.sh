@@ -90,6 +90,15 @@ if [[ "$quick" -eq 0 ]]; then
     echo "serve_mixed smoke failed: $last" >&2
     exit 1
   fi
+
+  echo "==> traced smoke runs (the per-layer replay finishes and agrees)"
+  for run in serve_mixed:2 corpus_cex:1; do
+    last=$(bash perfbench/run.sh --workload "${run%:*}" --seed 1 --seconds "${run#*:}" --trace 1 | tail -n 1)
+    if [[ "$last" != *'"correct": true'* || "$last" != *'"failed": 0'* ]]; then
+      echo "traced ${run%:*} smoke failed: $last" >&2
+      exit 1
+    fi
+  done
 fi
 
 echo "==> benchmark self-tests (generator, ledger, metric names)"
