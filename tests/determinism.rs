@@ -537,3 +537,50 @@ fn capped_searches_stop_at_max_configs() {
         assert_eq!(got, counters, "{name}");
     }
 }
+
+/// All five counters of eqn's conflict and SQL.5's three conflicts at a
+/// ladder of small `max_configs` caps: the cap, and with it the cutoff
+/// inside a cost bucket, falls at many different places in the expansion
+/// order (before any successor, inside one configuration's successors,
+/// right after a bucket ends). Each row is `(cap, [eqn, SQL.5 #0, SQL.5
+/// #1, SQL.5 #2])`.
+#[test]
+fn cap_ladder_counters_are_pinned() {
+    #[rustfmt::skip]
+    let pinned: [(usize, [[u64; 5]; 4]); 24] = [
+        (0, [[1, 1, 0, 0, 2], [1, 1, 0, 0, 2], [1, 1, 0, 0, 2], [1, 1, 0, 0, 2]]),
+        (1, [[2, 2, 1, 1, 4], [2, 2, 0, 1, 4], [2, 2, 0, 1, 4], [2, 2, 0, 1, 4]]),
+        (2, [[3, 3, 2, 1, 6], [3, 5, 0, 3, 7], [3, 7, 0, 5, 9], [3, 7, 0, 5, 9]]),
+        (3, [[4, 4, 3, 1, 8], [3, 5, 0, 3, 7], [3, 7, 0, 5, 9], [3, 7, 0, 5, 9]]),
+        (5, [[5, 19, 18, 15, 23], [6, 6, 0, 3, 9], [3, 7, 0, 5, 9], [3, 7, 0, 5, 9]]),
+        (8, [[5, 19, 18, 15, 23], [9, 14, 0, 6, 19], [7, 13, 0, 7, 16], [7, 13, 0, 7, 16]]),
+        (13, [[5, 19, 18, 15, 23], [9, 14, 0, 6, 19], [7, 18, 0, 12, 21], [7, 18, 0, 12, 21]]),
+        (16, [[5, 19, 18, 15, 23], [15, 20, 0, 6, 25], [7, 18, 0, 12, 21], [7, 18, 0, 12, 21]]),
+        (17, [[5, 19, 18, 15, 23], [15, 20, 0, 6, 25], [7, 18, 0, 12, 21], [7, 18, 0, 12, 21]]),
+        (21, [[19, 23, 18, 15, 31], [15, 26, 0, 12, 31], [7, 23, 0, 17, 26], [7, 23, 0, 17, 26]]),
+        (32, [[19, 43, 18, 25, 56], [15, 38, 0, 24, 43], [17, 37, 0, 21, 41], [18, 35, 0, 18, 40]]),
+        (33, [[19, 43, 18, 25, 56], [15, 38, 0, 24, 43], [17, 37, 0, 21, 41], [18, 35, 0, 18, 40]]),
+        (34, [[19, 43, 18, 25, 56], [15, 38, 0, 24, 43], [17, 37, 0, 21, 41], [18, 35, 0, 18, 40]]),
+        (55, [[19, 59, 18, 41, 73], [16, 58, 0, 43, 65], [17, 59, 0, 43, 65], [18, 57, 0, 40, 64]]),
+        (89, [[19, 91, 18, 73, 107], [43, 95, 0, 53, 103], [36, 94, 0, 59, 106], [38, 93, 0, 56, 108]]),
+        (144, [[39, 148, 27, 110, 190], [43, 145, 0, 103, 155], [78, 145, 0, 83, 180], [64, 146, 0, 83, 182]]),
+        (233, [[123, 236, 30, 177, 284], [60, 241, 0, 182, 256], [173, 238, 0, 107, 290], [102, 237, 0, 136, 293]]),
+        (377, [[123, 382, 56, 260, 442], [155, 379, 36, 276, 404], [173, 378, 0, 206, 435], [159, 380, 0, 222, 440]]),
+        (610, [[123, 625, 95, 503, 697], [155, 615, 40, 461, 654], [294, 611, 0, 318, 683], [202, 616, 6, 415, 688]]),
+        (987, [[236, 991, 108, 756, 1099], [321, 991, 130, 671, 1054], [355, 990, 0, 636, 1118], [424, 989, 37, 566, 1097]]),
+        (1597, [[740, 1598, 158, 1251, 1760], [321, 1602, 460, 1282, 1710], [643, 1599, 36, 957, 1882], [699, 1601, 37, 1158, 1765]]),
+        (2584, [[740, 2591, 319, 1852, 2825], [617, 2590, 524, 1974, 2782], [1279, 2593, 37, 1650, 2941], [699, 2587, 421, 1889, 2819]]),
+        (4181, [[740, 4196, 603, 3457, 4616], [1721, 4182, 1238, 2462, 4472], [1279, 4183, 605, 2905, 4763], [1453, 4182, 612, 2858, 4547]]),
+        (6765, [[1586, 6774, 612, 5189, 7350], [1721, 6768, 2832, 5048, 7218], [2165, 6766, 620, 4602, 7658], [3280, 6774, 898, 4297, 7541]]),
+    ];
+    for (cap, counters) in pinned {
+        let capped = SearchConfig {
+            time_limit: Duration::from_secs(3600),
+            max_configs: cap,
+            ..Default::default()
+        };
+        let mut got = search_counters("eqn", &capped, None);
+        got.extend(search_counters("SQL.5", &capped, None));
+        assert_eq!(got, counters, "max_configs {cap}");
+    }
+}
