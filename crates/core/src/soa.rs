@@ -679,6 +679,13 @@ impl Visited {
         }
     }
 
+    /// The slot that [`Visited::insert_with`] probes first for `hash`, as
+    /// the table stands now. Reading the home slots of a batch of hashes
+    /// ahead of inserting them lets those loads overlap.
+    pub fn home_word(&self, hash: u64) -> u64 {
+        self.slots[((hash >> 32) as u32 >> self.shift) as usize]
+    }
+
     fn grow(&mut self) {
         let old = std::mem::replace(self, Visited::with_capacity(self.slots.len() * 2));
         self.len = old.len;
