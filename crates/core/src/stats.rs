@@ -208,7 +208,26 @@ pub fn format_conflict_stats(s: &SearchStats) -> String {
 }
 
 /// Multi-line rendering of the grammar aggregate for `--stats` output.
+/// The provenance line reads `not run` when there were conflicts but no
+/// classification was recorded (see [`GrammarStats::class_true_candidates`]).
 pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
+    let classified = stats.class_true_candidates
+        + stats.class_merge_artifacts
+        + stats.class_precedence_resolved
+        + stats.class_internal;
+    let provenance = if stats.conflicts > 0 && classified == 0 {
+        "not run".to_string()
+    } else {
+        format!(
+            "{} true-ambiguity / {} merge-artifact / {} precedence-resolved / {} internal (lr1 states {}, {:.1}ms)",
+            stats.class_true_candidates,
+            stats.class_merge_artifacts,
+            stats.class_precedence_resolved,
+            stats.class_internal,
+            stats.lr1_states,
+            stats.provenance_time.as_secs_f64() * 1e3,
+        )
+    };
     format!(
         "grammar stats: {} conflicts, {} workers, precompute {:.1}ms \
          (lr0 {:.1}ms, lookaheads {:.1}ms, tables {:.1}ms, state graph {:.1}ms)\n\
@@ -217,7 +236,7 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
          \u{20} unifying search: {} explored, {} enqueued, {} deduped, frontier peak {}, {} arena cells\n\
          \u{20} supervision: {} slot retries / {} recovered\n\
          \u{20} engine cache: {} hits / {} misses / {} evictions\n\
-         \u{20} provenance: {} true-ambiguity / {} merge-artifact / {} precedence-resolved / {} internal (lr1 states {}, {:.1}ms)\n\
+         \u{20} provenance: {}\n\
          \u{20} time: {:.1}ms wall, {:.1}ms cpu across conflicts",
         stats.conflicts,
         stats.workers,
@@ -240,12 +259,7 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_evictions,
-        stats.class_true_candidates,
-        stats.class_merge_artifacts,
-        stats.class_precedence_resolved,
-        stats.class_internal,
-        stats.lr1_states,
-        stats.provenance_time.as_secs_f64() * 1e3,
+        provenance,
         wall.as_secs_f64() * 1e3,
         stats.cpu_time.as_secs_f64() * 1e3,
     )
@@ -304,5 +318,18 @@ mod tests {
         assert!(out.contains("verdict memo: 0 hits"));
         assert!(out.contains("lookaheads 0.0ms"));
         assert!(out.contains("unifying search"));
+        assert!(out.contains("provenance: 0 true-ambiguity / 0 merge-artifact"));
+        let unclassified = GrammarStats {
+            conflicts: 3,
+            ..GrammarStats::default()
+        };
+        let out = format_grammar_stats(&unclassified, Duration::ZERO);
+        assert!(out.contains("provenance: not run\n"), "{out}");
+        let classified = GrammarStats {
+            class_true_candidates: 3,
+            ..unclassified
+        };
+        let out = format_grammar_stats(&classified, Duration::ZERO);
+        assert!(out.contains("provenance: 3 true-ambiguity / 0 merge-artifact"));
     }
 }
