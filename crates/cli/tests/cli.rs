@@ -1,6 +1,8 @@
 //! End-to-end tests for the `lalrcex` binary: the uniform argument
-//! contract across all four subcommands, the JSON report surface, and the
-//! serve/batch wiring.
+//! contract across all five subcommands, the JSON report surface, the
+//! serve/batch wiring, and byte-level goldens of the `cex` and `explain`
+//! output modes (`tests/golden/`; regenerate deliberately with
+//! `UPDATE_GOLDEN=1 cargo test -p lalrcex-cli --test cli`).
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -40,6 +42,8 @@ fn argument_contract_is_uniform_across_subcommands() {
         vec!["cex", "--format", "yaml", "g.y"],
         vec!["lint", "--format", "yaml", "g.y"],
         vec!["batch", "--format", "yaml", "m.txt"],
+        vec!["explain", "--bogus", "g.y"],
+        vec!["explain", "--extended", "g.y"], // a cex-only flag
     ] {
         let out = run(&args);
         assert_eq!(
@@ -58,6 +62,7 @@ fn argument_contract_is_uniform_across_subcommands() {
         vec!["lint", "-h"],
         vec!["serve", "--help"],
         vec!["batch", "--help"],
+        vec!["explain", "--help"],
     ] {
         let out = run(&args);
         assert_eq!(out.status.code(), Some(0), "{args:?} exits 0");
@@ -327,4 +332,131 @@ fn serve_exits_promptly_when_reader_dies_mid_analysis() {
         std::thread::sleep(Duration::from_millis(50));
     };
     assert_eq!(status.code(), Some(0), "hangup is an orderly exit");
+}
+
+/// The workspace root: golden runs pass grammar paths relative to it, so
+/// the labels echoed in the output are the same on every checkout.
+fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn run_in_root(args: &[&str]) -> Output {
+    Command::new(BIN)
+        .args(args)
+        .current_dir(workspace_root())
+        .output()
+        .expect("spawn lalrcex")
+}
+
+const FIGURE1_Y: &str = "crates/corpus/grammars/figure1.y";
+const MERGE_ARTIFACT_Y: &str = "crates/lint/fixtures/merge_artifact.y";
+
+/// Byte-level goldens of every `cex` and `explain` output mode that has
+/// no timing in it, plus the usage text of every subcommand. Both
+/// grammars' searches finish far inside the default budgets, so the
+/// output is deterministic.
+#[test]
+fn output_modes_match_goldens() {
+    let cases: [(&str, &[&str], i32); 19] = [
+        ("explain_figure1.txt", &["explain", FIGURE1_Y], 1),
+        (
+            "explain_figure1.json",
+            &["explain", "--format", "json", FIGURE1_Y],
+            1,
+        ),
+        (
+            "explain_figure1_conflict1.txt",
+            &["explain", "--conflict", "1", FIGURE1_Y],
+            1,
+        ),
+        (
+            "explain_figure1_conflict2.json",
+            &["explain", "--format", "json", "--conflict", "2", FIGURE1_Y],
+            1,
+        ),
+        (
+            "explain_merge_artifact.txt",
+            &["explain", MERGE_ARTIFACT_Y],
+            1,
+        ),
+        (
+            "explain_merge_artifact.json",
+            &["explain", "--format", "json", MERGE_ARTIFACT_Y],
+            1,
+        ),
+        (
+            "cex_figure1_summary.txt",
+            &["cex", "--summary", FIGURE1_Y],
+            1,
+        ),
+        ("cex_figure1_path.txt", &["cex", "--path", FIGURE1_Y], 1),
+        (
+            "cex_figure1_dump_states.txt",
+            &["cex", "--dump-states", FIGURE1_Y],
+            1,
+        ),
+        (
+            "cex_merge_artifact_summary.txt",
+            &["cex", "--summary", MERGE_ARTIFACT_Y],
+            1,
+        ),
+        (
+            "cex_merge_artifact_path.txt",
+            &["cex", "--path", MERGE_ARTIFACT_Y],
+            1,
+        ),
+        (
+            "cex_merge_artifact_dump_states.txt",
+            &["cex", "--dump-states", MERGE_ARTIFACT_Y],
+            1,
+        ),
+        ("help_global.txt", &["--help"], 0),
+        ("help_cex.txt", &["cex", "--help"], 0),
+        ("help_explain.txt", &["explain", "--help"], 0),
+        ("help_lint.txt", &["lint", "--help"], 0),
+        ("help_serve.txt", &["serve", "--help"], 0),
+        ("help_batch.txt", &["batch", "--help"], 0),
+        (
+            "lint_merge_artifact.json",
+            &["lint", "--format", "json", MERGE_ARTIFACT_Y],
+            0,
+        ),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    for (name, args, code) in cases {
+        let out = run_in_root(args);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{args:?}; stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let path = dir.join(name);
+        if update {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, &stdout).unwrap();
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e} (UPDATE_GOLDEN=1 to create)", path.display()));
+        assert_eq!(stdout, golden, "{args:?} drifted from tests/golden/{name}");
+    }
+}
+
+/// `explain --conflict N` with N past the last conflict is a usage error:
+/// exit 2, a diagnostic naming the count on stderr, nothing on stdout.
+#[test]
+fn explain_conflict_out_of_range_exits_2() {
+    for format in ["text", "json"] {
+        let out = run_in_root(&["explain", "--format", format, "--conflict", "3", FIGURE1_Y]);
+        assert_eq!(out.status.code(), Some(2), "--format {format}");
+        assert!(out.stdout.is_empty(), "--format {format} writes no report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("conflict index 3 out of range (3 conflict(s))"),
+            "stderr: {stderr}"
+        );
+    }
 }
