@@ -66,8 +66,8 @@ pub use provenance::{
     ResolutionProvenance,
 };
 pub use report::{
-    display_item_cup, format_report, CexConfig, ConflictOutcome, ConflictReport, ExampleKind,
-    GrammarReport,
+    display_item_cup, flat_top, format_report, pretty_top, CexConfig, ConflictOutcome,
+    ConflictReport, ExampleKind, GrammarReport,
 };
 pub use search::{
     conflict_on, unifying_search_cancellable, unifying_search_metered, SearchConfig, SearchOutcome,
@@ -78,14 +78,3 @@ pub use stats::{
     format_conflict_stats, format_grammar_stats, GrammarStats, PrecomputeTimes, SearchMetrics,
     SearchStats,
 };
-
-/// Test-only hook exposing the Figure 5(b) backward search candidates.
-#[doc(hidden)]
-pub fn debug_other_item_paths(
-    g: &lalrcex_grammar::Grammar,
-    graph: &StateGraph,
-    path: &[lssi::LsNode],
-    other: StateItemId,
-) -> Vec<Vec<(StateItemId, lssi::EdgeKind)>> {
-    nonunifying::debug_other_item_paths(g, graph, path, other)
-}

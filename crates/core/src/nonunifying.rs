@@ -41,11 +41,7 @@ fn build_frames(g: &Grammar, graph: &StateGraph, nodes: &[(StateItemId, EdgeKind
     let mut frames: Vec<Frame> = Vec::new();
     for &(si, edge) in nodes {
         match edge {
-            EdgeKind::Start => frames.push(Frame {
-                item: graph.item(si),
-                children: Vec::new(),
-            }),
-            EdgeKind::Production => frames.push(Frame {
+            EdgeKind::Start | EdgeKind::Production => frames.push(Frame {
                 item: graph.item(si),
                 children: Vec::new(),
             }),
@@ -290,17 +286,6 @@ pub fn nonunifying_example(
         reduce_derivation,
         other_derivation,
     })
-}
-
-/// Test-only wrapper for [`other_item_paths`].
-#[doc(hidden)]
-pub fn debug_other_item_paths(
-    g: &Grammar,
-    graph: &StateGraph,
-    path: &[LsNode],
-    other: StateItemId,
-) -> Vec<Vec<(StateItemId, EdgeKind)>> {
-    other_item_paths(g, graph, path, other)
 }
 
 #[cfg(test)]

@@ -184,7 +184,7 @@ pub fn display_item_cup(g: &Grammar, item: Item) -> String {
 }
 
 /// Renders a derivation for the report, hiding the `$accept` wrapper.
-fn pretty_top(g: &Grammar, d: &Derivation) -> String {
+pub fn pretty_top(g: &Grammar, d: &Derivation) -> String {
     match d {
         Derivation::Node(sym, children) if *sym == g.accept() => children
             .iter()
@@ -197,7 +197,7 @@ fn pretty_top(g: &Grammar, d: &Derivation) -> String {
 
 /// Renders a derivation's sentential form, hiding the `$accept` wrapper's
 /// trailing end-of-input marker.
-fn flat_top(g: &Grammar, d: &Derivation) -> String {
+pub fn flat_top(g: &Grammar, d: &Derivation) -> String {
     let s = d.flat(g);
     s.strip_suffix(" $").unwrap_or(&s).to_owned()
 }
@@ -206,24 +206,16 @@ fn flat_top(g: &Grammar, d: &Derivation) -> String {
 pub fn format_report(g: &Grammar, r: &ConflictReport) -> String {
     let c = &r.conflict;
     let (what, action2) = match c.kind {
-        ConflictKind::ShiftReduce { shift_item } => (
-            "Shift/Reduce",
-            format!("shift on {}", display_item_cup(g, shift_item)),
-        ),
-        ConflictKind::ReduceReduce { other_prod } => (
-            "Reduce/Reduce",
-            format!(
-                "reduction on {}",
-                display_item_cup(g, Item::new(other_prod, g.prod(other_prod).rhs().len()))
-            ),
-        ),
+        ConflictKind::ShiftReduce { .. } => ("Shift/Reduce", "shift"),
+        ConflictKind::ReduceReduce { .. } => ("Reduce/Reduce", "reduction"),
     };
     let mut out = format!(
-        "Warning : *** {} conflict found in state #{}\n  between reduction on {}\n  and {}\n  under symbol {}\n",
+        "Warning : *** {} conflict found in state #{}\n  between reduction on {}\n  and {} on {}\n  under symbol {}\n",
         what,
         c.state.index(),
         display_item_cup(g, c.reduce_item(g)),
         action2,
+        display_item_cup(g, c.other_item(g)),
         g.display_name(c.terminal),
     );
     if let ConflictOutcome::Internal(e) = &r.outcome {

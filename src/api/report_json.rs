@@ -13,11 +13,11 @@
 //! request and the CLI's `--stats` text output instead.
 
 use lalrcex_core::{
-    display_item_cup, render_chain_step, ChainStep, ConflictOutcome, ConflictReport, ExampleKind,
-    GrammarProvenance, GrammarReport, ProvenanceOutcome,
+    display_item_cup, flat_top, pretty_top, render_chain_step, ChainStep, ConflictOutcome,
+    ConflictReport, ExampleKind, GrammarProvenance, GrammarReport, ProvenanceOutcome,
 };
-use lalrcex_grammar::{Derivation, Grammar};
-use lalrcex_lr::{ConflictKind, Item, Resolution};
+use lalrcex_grammar::Grammar;
+use lalrcex_lr::{ConflictKind, Resolution};
 
 use super::json::{obj, Json};
 
@@ -113,26 +113,6 @@ fn outcome_label(outcome: &ConflictOutcome) -> &'static str {
         ConflictOutcome::Completed(ExampleKind::NonunifyingTimeout) => "nonunifying-timeout",
         ConflictOutcome::Completed(ExampleKind::NonunifyingSkipped) => "nonunifying-skipped",
         ConflictOutcome::Completed(ExampleKind::Cancelled) => "cancelled",
-    }
-}
-
-/// Renders a derivation's sentential form, hiding the `$accept` wrapper's
-/// trailing end-of-input marker (mirrors the text report).
-fn flat_top(g: &Grammar, d: &Derivation) -> String {
-    let s = d.flat(g);
-    s.strip_suffix(" $").unwrap_or(&s).to_owned()
-}
-
-/// Renders a derivation, hiding the `$accept` wrapper (mirrors the text
-/// report).
-fn pretty_top(g: &Grammar, d: &Derivation) -> String {
-    match d {
-        Derivation::Node(sym, children) if *sym == g.accept() => children
-            .iter()
-            .map(|c| c.pretty(g))
-            .collect::<Vec<_>>()
-            .join(" "),
-        other => other.pretty(g),
     }
 }
 
@@ -243,14 +223,9 @@ fn resolution_provenance_document(g: &Grammar, rp: &lalrcex_core::ResolutionProv
 
 fn conflict_document(g: &Grammar, r: &ConflictReport, prov: Option<&ProvenanceOutcome>) -> Json {
     let c = &r.conflict;
-    let (kind, other_item) = match c.kind {
-        ConflictKind::ShiftReduce { shift_item } => {
-            ("shift-reduce", display_item_cup(g, shift_item))
-        }
-        ConflictKind::ReduceReduce { other_prod } => (
-            "reduce-reduce",
-            display_item_cup(g, Item::new(other_prod, g.prod(other_prod).rhs().len())),
-        ),
+    let kind = match c.kind {
+        ConflictKind::ShiftReduce { .. } => "shift-reduce",
+        ConflictKind::ReduceReduce { .. } => "reduce-reduce",
     };
     let mut b = obj()
         .push("state", Json::num(c.state.index() as u32))
@@ -260,7 +235,10 @@ fn conflict_document(g: &Grammar, r: &ConflictReport, prov: Option<&ProvenanceOu
             "reduce_item",
             Json::str(display_item_cup(g, c.reduce_item(g))),
         )
-        .push("other_item", Json::str(other_item))
+        .push(
+            "other_item",
+            Json::str(display_item_cup(g, c.other_item(g))),
+        )
         .push("outcome", Json::str(outcome_label(&r.outcome)));
 
     b = b.push(
