@@ -20,14 +20,17 @@
 use std::time::Duration;
 
 use lalrcex_baselines::amber::Budget;
-use lalrcex_bench::{fmt_secs, geometric_mean, paper_config, run_baseline, run_entry, Row};
+use lalrcex_bench::{fmt_secs, geometric_mean, run_baseline, run_entry, Row};
+use lalrcex_core::CexConfig;
 
 fn main() {
     let mut fast = false;
     let mut baseline = false;
     let mut only: Option<String> = None;
-    let mut time_limit = Duration::from_secs(5);
-    let mut workers: usize = 0;
+    // The paper's limits (5 s per conflict, 2 minutes in all) are the
+    // `CexConfig` defaults.
+    let mut cfg = CexConfig::default();
+    let default_limit = cfg.search.time_limit;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -35,20 +38,18 @@ fn main() {
             "--baseline" => baseline = true,
             "--only" => only = args.next(),
             "--time-limit" => {
-                time_limit =
-                    Duration::from_secs(args.next().and_then(|s| s.parse().ok()).unwrap_or(5))
+                cfg.search.time_limit = args
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .map_or(default_limit, Duration::from_secs)
             }
-            "--workers" => workers = args.next().and_then(|s| s.parse().ok()).unwrap_or(0),
+            "--workers" => cfg.workers = args.next().and_then(|s| s.parse().ok()).unwrap_or(0),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
             }
         }
     }
-
-    let mut cfg = paper_config();
-    cfg.search.time_limit = time_limit;
-    cfg.workers = workers;
 
     let heavy = ["java-ext1", "java-ext2", "Java.2"];
     println!(

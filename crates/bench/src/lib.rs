@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use lalrcex_baselines::amber::Budget;
 use lalrcex_baselines::filtered::{self, FilteredOutcome};
-use lalrcex_core::{CexConfig, Engine, ExampleKind, SearchConfig};
+use lalrcex_core::{CexConfig, Engine, ExampleKind};
 use lalrcex_corpus::CorpusEntry;
 
 /// Everything measured for one Table 1 row.
@@ -129,18 +129,6 @@ pub fn run_baseline(entry: &CorpusEntry, budget: &Budget) -> (Duration, bool) {
     (started.elapsed(), found)
 }
 
-/// The default evaluation configuration: the paper's 5 s / 2 min limits.
-pub fn paper_config() -> CexConfig {
-    CexConfig {
-        search: SearchConfig {
-            time_limit: Duration::from_secs(5),
-            ..Default::default()
-        },
-        cumulative_limit: Duration::from_secs(120),
-        ..CexConfig::default()
-    }
-}
-
 /// Formats a duration like the paper (seconds with 3 decimals).
 pub fn fmt_secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
@@ -179,7 +167,7 @@ mod tests {
     #[test]
     fn run_entry_on_figure1_matches_paper() {
         let entry = lalrcex_corpus::by_name("figure1").unwrap();
-        let row = run_entry(&entry, &paper_config());
+        let row = run_entry(&entry, &CexConfig::default());
         assert_eq!(row.conflicts, 3);
         assert_eq!(row.unifying, 3);
         assert_eq!(row.states, 24);

@@ -44,8 +44,8 @@ use std::time::Duration;
 use lalrcex::api::{AnalysisRequest, Error, GrammarFormat, GrammarSource, Session};
 use lalrcex::service::{serve, ServeOptions};
 use lalrcex_core::{
-    format_conflict_stats, format_grammar_stats, format_report, CancelToken, ConflictOutcome,
-    Engine, ExampleKind, GrammarReport,
+    format_conflict_stats, format_grammar_stats, format_report, CancelToken, CexConfig,
+    ConflictOutcome, Engine, ExampleKind, GrammarReport,
 };
 use lalrcex_grammar::Grammar;
 
@@ -109,9 +109,10 @@ mod sigint {
 
 /// The one argument scanner every subcommand goes through. Centralizing
 /// the error paths here is what keeps the CLI contract uniform: `--help`
-/// exits 0 via [`ArgScan::help`], and every malformed invocation —
-/// unknown flag, flag missing its value, value that isn't a number —
-/// funnels through [`ArgScan::fail`] to stderr and exit code 2.
+/// (or `-h`) in flag position prints usage on stdout and exits 0, and
+/// every malformed invocation — unknown flag, flag missing its value,
+/// value that isn't a number — funnels through [`ArgScan::fail`] to
+/// stderr and exit code 2.
 struct ArgScan {
     iter: std::vec::IntoIter<String>,
     cmd: &'static str,
@@ -127,14 +128,14 @@ impl ArgScan {
         }
     }
 
+    /// The next argument in flag position; `--help` ends the run here.
     fn next_arg(&mut self) -> Option<String> {
-        self.iter.next()
-    }
-
-    /// `--help`: usage on stdout, exit 0.
-    fn help(&self) -> ! {
-        println!("{}", self.usage);
-        std::process::exit(0);
+        let arg = self.iter.next()?;
+        if arg == "--help" || arg == "-h" {
+            println!("{}", self.usage);
+            std::process::exit(0);
+        }
+        Some(arg)
     }
 
     /// Any parse failure: diagnostic plus usage on stderr, exit 2.
@@ -146,6 +147,22 @@ impl ArgScan {
 
     fn unknown(&self, arg: &str) -> ! {
         self.fail(&format!("unknown option `{arg}`"));
+    }
+
+    /// Stores the one positional argument in `slot`; a flag, or a second
+    /// positional, is an unknown option.
+    fn positional(&self, slot: &mut String, arg: String) {
+        if arg.starts_with('-') || !slot.is_empty() {
+            self.unknown(&arg);
+        }
+        *slot = arg;
+    }
+
+    /// Exits 2 with `missing` unless the positional argument was given.
+    fn require(&self, slot: &str, missing: &str) {
+        if slot.is_empty() {
+            self.fail(missing);
+        }
     }
 
     /// The value following a flag, or exit 2.
@@ -160,6 +177,15 @@ impl ArgScan {
         let v = self.value(flag);
         v.parse()
             .unwrap_or_else(|_| self.fail(&format!("`{flag}` needs a number, got `{v}`")))
+    }
+
+    /// Whether `--format` asks for JSON (`text` or `json`), or exit 2.
+    fn json_format(&mut self) -> bool {
+        match self.value("--format").as_str() {
+            "text" => false,
+            "json" => true,
+            other => self.fail(&format!("`--format` is text or json, got `{other}`")),
+        }
     }
 
     /// The value of `--grammar-format`, or exit 2.
@@ -213,36 +239,43 @@ usage: lalrcex [cex] [OPTIONS] GRAMMAR.y
   --path               print the shortest lookahead-sensitive path
   --summary            one line per conflict instead of full reports";
 
-#[derive(Clone)]
+/// The settings of `cex`, `explain` and `batch`. The analysis settings
+/// and their defaults (the paper's 5 s per conflict, 2 minutes in all)
+/// are a [`CexConfig`]; the rest choose what gets printed.
+#[derive(Clone, Default)]
 struct CexOptions {
     grammar: String,
     grammar_format: GrammarFormat,
     json: bool,
-    extended: bool,
-    time_limit: Duration,
-    total_limit: Duration,
+    config: CexConfig,
     dump_states: bool,
     show_path: bool,
     summary: bool,
     stats: bool,
-    workers: usize,
 }
 
-impl Default for CexOptions {
-    fn default() -> CexOptions {
-        CexOptions {
-            grammar: String::new(),
-            grammar_format: GrammarFormat::Auto,
-            json: false,
-            extended: false,
-            time_limit: Duration::from_secs(5),
-            total_limit: Duration::from_secs(120),
-            dump_states: false,
-            show_path: false,
-            summary: false,
-            stats: false,
-            workers: 0,
+impl CexOptions {
+    /// Scans `arg` if it is one of the flags `cex`, `explain` and `batch`
+    /// share; returns `false` (nothing consumed) otherwise.
+    fn scan_shared(&mut self, p: &mut ArgScan, arg: &str) -> bool {
+        match arg {
+            "--format" => self.json = p.json_format(),
+            "--grammar-format" => self.grammar_format = p.grammar_format(),
+            "--time-limit" => self.config.search.time_limit = Duration::from_secs(p.num(arg)),
+            "--total-limit" => self.config.cumulative_limit = Duration::from_secs(p.num(arg)),
+            "--workers" => self.config.workers = p.num(arg),
+            "--stats" => self.stats = true,
+            _ => return false,
         }
+        true
+    }
+
+    /// The request for one grammar under these settings.
+    fn request(&self, source: GrammarSource, label: &str, cancel: &CancelToken) -> AnalysisRequest {
+        AnalysisRequest::new(source)
+            .label(label)
+            .config(self.config)
+            .cancel_token(cancel.clone())
     }
 }
 
@@ -250,31 +283,18 @@ fn parse_cex_args(args: Vec<String>) -> CexOptions {
     let mut p = ArgScan::new(args, "cex", CEX_USAGE);
     let mut opts = CexOptions::default();
     while let Some(a) = p.next_arg() {
+        if opts.scan_shared(&mut p, &a) {
+            continue;
+        }
         match a.as_str() {
-            "--help" | "-h" => p.help(),
-            "--format" => match p.value("--format").as_str() {
-                "text" => opts.json = false,
-                "json" => opts.json = true,
-                other => p.fail(&format!("`--format` is text or json, got `{other}`")),
-            },
-            "--grammar-format" => opts.grammar_format = p.grammar_format(),
-            "--extended" | "-extendedsearch" => opts.extended = true,
-            "--time-limit" => opts.time_limit = Duration::from_secs(p.num("--time-limit")),
-            "--total-limit" => opts.total_limit = Duration::from_secs(p.num("--total-limit")),
-            "--workers" => opts.workers = p.num("--workers"),
-            "--stats" => opts.stats = true,
+            "--extended" | "-extendedsearch" => opts.config.search.extended = true,
             "--dump-states" => opts.dump_states = true,
             "--path" => opts.show_path = true,
             "--summary" => opts.summary = true,
-            other if !other.starts_with('-') && opts.grammar.is_empty() => {
-                opts.grammar = other.to_owned();
-            }
-            other => p.unknown(other),
+            _ => p.positional(&mut opts.grammar, a),
         }
     }
-    if opts.grammar.is_empty() {
-        p.fail("no grammar file given");
-    }
+    p.require(&opts.grammar, "no grammar file given");
     opts
 }
 
@@ -295,19 +315,39 @@ fn interruptible_token() -> CancelToken {
     cancel
 }
 
-fn analysis_request(
-    source: GrammarSource,
-    label: &str,
+/// Prints a failed analysis of `label` on stderr and returns its exit
+/// code: 2 for a grammar that does not parse, 3 for anything else.
+fn analysis_error(label: &str, e: &Error) -> u8 {
+    match e {
+        Error::Grammar(g) | Error::YaccParse(g) => {
+            eprintln!("lalrcex: {label}: {g}");
+            2
+        }
+        other => {
+            eprintln!("lalrcex: {label}: {other}");
+            3
+        }
+    }
+}
+
+/// The prologue `cex` and `explain` share: reads the grammar file, runs
+/// `run` on its request in a fresh session, and returns the reply with
+/// the Ctrl-C token, or the exit code of the failure (already reported).
+fn run_file<R>(
     opts: &CexOptions,
-    cancel: &CancelToken,
-) -> AnalysisRequest {
-    AnalysisRequest::new(source)
-        .label(label)
-        .time_limit(opts.time_limit)
-        .cumulative_limit(opts.total_limit)
-        .workers(opts.workers)
-        .extended(opts.extended)
-        .cancel_token(cancel.clone())
+    run: impl FnOnce(&Session, &AnalysisRequest) -> Result<R, Error>,
+) -> Result<(R, CancelToken), ExitCode> {
+    let text = std::fs::read_to_string(&opts.grammar).map_err(|e| {
+        eprintln!("lalrcex: cannot read {}: {e}", opts.grammar);
+        ExitCode::from(2)
+    })?;
+    let cancel = interruptible_token();
+    let source = file_source(&opts.grammar, text, opts.grammar_format);
+    let request = opts.request(source, &opts.grammar, &cancel);
+    match run(&Session::new(), &request) {
+        Ok(reply) => Ok((reply, cancel)),
+        Err(e) => Err(ExitCode::from(analysis_error(&opts.grammar, &e))),
+    }
 }
 
 /// Renders one grammar's text report (header, precedence notes, one block
@@ -411,28 +451,9 @@ fn report_exit(cancelled: bool, report: &GrammarReport) -> u8 {
 
 fn run_cex(args: Vec<String>) -> ExitCode {
     let opts = parse_cex_args(args);
-    let text = match std::fs::read_to_string(&opts.grammar) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("lalrcex: cannot read {}: {e}", opts.grammar);
-            return ExitCode::from(2);
-        }
-    };
-
-    let session = Session::new();
-    let cancel = interruptible_token();
-    let source = file_source(&opts.grammar, text, opts.grammar_format);
-    let request = analysis_request(source, &opts.grammar, &opts, &cancel);
-    let reply = match session.analyze(&request) {
-        Ok(r) => r,
-        Err(Error::Grammar(e) | Error::YaccParse(e)) => {
-            eprintln!("lalrcex: {}: {e}", opts.grammar);
-            return ExitCode::from(2);
-        }
-        Err(e) => {
-            eprintln!("lalrcex: {}: {e}", opts.grammar);
-            return ExitCode::from(3);
-        }
+    let (reply, cancel) = match run_file(&opts, Session::analyze) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
 
     if opts.json {
@@ -496,28 +517,15 @@ fn parse_explain_args(args: Vec<String>) -> ExplainOptions {
         conflict: None,
     };
     while let Some(a) = p.next_arg() {
+        if opts.cex.scan_shared(&mut p, &a) {
+            continue;
+        }
         match a.as_str() {
-            "--help" | "-h" => p.help(),
-            "--format" => match p.value("--format").as_str() {
-                "text" => opts.cex.json = false,
-                "json" => opts.cex.json = true,
-                other => p.fail(&format!("`--format` is text or json, got `{other}`")),
-            },
-            "--grammar-format" => opts.cex.grammar_format = p.grammar_format(),
             "--conflict" => opts.conflict = Some(p.num("--conflict")),
-            "--time-limit" => opts.cex.time_limit = Duration::from_secs(p.num("--time-limit")),
-            "--total-limit" => opts.cex.total_limit = Duration::from_secs(p.num("--total-limit")),
-            "--workers" => opts.cex.workers = p.num("--workers"),
-            "--stats" => opts.cex.stats = true,
-            other if !other.starts_with('-') && opts.cex.grammar.is_empty() => {
-                opts.cex.grammar = other.to_owned();
-            }
-            other => p.unknown(other),
+            _ => p.positional(&mut opts.cex.grammar, a),
         }
     }
-    if opts.cex.grammar.is_empty() {
-        p.fail("no grammar file given");
-    }
+    p.require(&opts.cex.grammar, "no grammar file given");
     opts
 }
 
@@ -525,28 +533,9 @@ fn parse_explain_args(args: Vec<String>) -> ExplainOptions {
 /// provenance and print the relation chains behind the verdicts.
 fn run_explain(args: Vec<String>) -> ExitCode {
     let opts = parse_explain_args(args);
-    let text = match std::fs::read_to_string(&opts.cex.grammar) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("lalrcex: cannot read {}: {e}", opts.cex.grammar);
-            return ExitCode::from(2);
-        }
-    };
-
-    let session = Session::new();
-    let cancel = interruptible_token();
-    let source = file_source(&opts.cex.grammar, text, opts.cex.grammar_format);
-    let request = analysis_request(source, &opts.cex.grammar, &opts.cex, &cancel);
-    let reply = match session.explain(&request) {
-        Ok(r) => r,
-        Err(Error::Grammar(e) | Error::YaccParse(e)) => {
-            eprintln!("lalrcex: {}: {e}", opts.cex.grammar);
-            return ExitCode::from(2);
-        }
-        Err(e) => {
-            eprintln!("lalrcex: {}: {e}", opts.cex.grammar);
-            return ExitCode::from(3);
-        }
+    let (reply, cancel) = match run_file(&opts.cex, Session::explain) {
+        Ok(done) => done,
+        Err(code) => return code,
     };
     if let Some(n) = opts.conflict {
         if n >= reply.provenance.conflicts.len() {
@@ -630,23 +619,15 @@ fn parse_lint_args(args: Vec<String>) -> LintOptions {
     };
     while let Some(a) = p.next_arg() {
         match a.as_str() {
-            "--help" | "-h" => p.help(),
-            "--format" => match p.value("--format").as_str() {
-                "text" => opts.json = false,
-                "json" => opts.json = true,
-                other => p.fail(&format!("`--format` is text or json, got `{other}`")),
-            },
+            "--format" => opts.json = p.json_format(),
             "--grammar-format" => opts.grammar_format = p.grammar_format(),
             "--deny-warnings" => opts.deny_warnings = true,
             "--list" => opts.list = true,
-            other if !other.starts_with('-') && opts.grammar.is_empty() => {
-                opts.grammar = other.to_owned();
-            }
-            other => p.unknown(other),
+            _ => p.positional(&mut opts.grammar, a),
         }
     }
-    if opts.grammar.is_empty() && !opts.list {
-        p.fail("no grammar file given");
+    if !opts.list {
+        p.require(&opts.grammar, "no grammar file given");
     }
     opts
 }
@@ -736,7 +717,6 @@ fn run_serve(args: Vec<String>) -> ExitCode {
     let mut opts = ServeOptions::default();
     while let Some(a) = p.next_arg() {
         match a.as_str() {
-            "--help" | "-h" => p.help(),
             "--workers" => opts.workers = p.num("--workers"),
             "--cache-mb" => opts.cache_mb = p.num("--cache-mb"),
             "--max-line" => opts.max_line_bytes = p.num("--max-line"),
@@ -787,28 +767,15 @@ fn run_batch(args: Vec<String>) -> ExitCode {
     let mut manifest = String::new();
     let mut cache_mb = 256usize;
     while let Some(a) = p.next_arg() {
+        if opts.scan_shared(&mut p, &a) {
+            continue;
+        }
         match a.as_str() {
-            "--help" | "-h" => p.help(),
-            "--format" => match p.value("--format").as_str() {
-                "text" => opts.json = false,
-                "json" => opts.json = true,
-                other => p.fail(&format!("`--format` is text or json, got `{other}`")),
-            },
-            "--grammar-format" => opts.grammar_format = p.grammar_format(),
-            "--time-limit" => opts.time_limit = Duration::from_secs(p.num("--time-limit")),
-            "--total-limit" => opts.total_limit = Duration::from_secs(p.num("--total-limit")),
-            "--workers" => opts.workers = p.num("--workers"),
             "--cache-mb" => cache_mb = p.num("--cache-mb"),
-            "--stats" => opts.stats = true,
-            other if !other.starts_with('-') && manifest.is_empty() => {
-                manifest = other.to_owned();
-            }
-            other => p.unknown(other),
+            _ => p.positional(&mut manifest, a),
         }
     }
-    if manifest.is_empty() {
-        p.fail("no manifest file given");
-    }
+    p.require(&manifest, "no manifest file given");
     let listing = match std::fs::read_to_string(&manifest) {
         Ok(t) => t,
         Err(e) => {
@@ -874,19 +841,11 @@ fn run_batch(args: Vec<String>) -> ExitCode {
                 continue;
             }
         };
-        let request = analysis_request(source, &label, &opts, &cancel);
-        let reply = match session.analyze(&request) {
+        let reply = match session.analyze(&opts.request(source, &label, &cancel)) {
             Ok(r) => r,
-            Err(Error::Grammar(e) | Error::YaccParse(e)) => {
-                eprintln!("lalrcex: {label}: {e}");
-                failed += 1;
-                worst = worst.max(2);
-                continue;
-            }
             Err(e) => {
-                eprintln!("lalrcex: {label}: {e}");
                 failed += 1;
-                worst = worst.max(3);
+                worst = worst.max(analysis_error(&label, &e));
                 continue;
             }
         };

@@ -214,8 +214,9 @@ impl Error {
     }
 }
 
-/// One conflict analysis, built fluently. Defaults mirror the CLI: 5 s
-/// per-conflict limit, 120 s cumulative, one worker per CPU.
+/// One conflict analysis, built fluently. The settings start from
+/// [`CexConfig::default()`] (5 s per conflict, 120 s cumulative, one
+/// worker per CPU), the defaults every front end shares.
 #[derive(Clone, Debug)]
 pub struct AnalysisRequest {
     source: GrammarSource,
@@ -289,7 +290,8 @@ impl AnalysisRequest {
         self
     }
 
-    /// Escape hatch: a full [`CexConfig`].
+    /// Every analysis setting at once, as a [`CexConfig`] (how the CLI,
+    /// serve and [`crate::build::Verifier`] pass theirs).
     pub fn config(mut self, cfg: CexConfig) -> Self {
         self.cfg = cfg;
         self

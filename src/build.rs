@@ -37,6 +37,8 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use lalrcex_core::CexConfig;
+
 use crate::api::{AnalysisRequest, Error, GrammarFormat, GrammarSource, Session};
 
 /// A conflict-free verification: the grammar builds a deterministic LALR
@@ -176,14 +178,13 @@ pub type ConflictCallback = Box<dyn FnMut(&ConflictsFound)>;
 #[derive(Default)]
 pub struct Verifier {
     format: Option<GrammarFormat>,
-    time_limit: Option<Duration>,
-    total_limit: Option<Duration>,
-    workers: Option<usize>,
+    config: CexConfig,
     on_conflicts: Option<ConflictCallback>,
 }
 
 impl Verifier {
-    /// A verifier with CLI-default limits and auto-detected format.
+    /// A verifier with the [`CexConfig`] default limits (the CLI's) and
+    /// auto-detected format.
     #[must_use]
     pub fn new() -> Verifier {
         Verifier::default()
@@ -199,7 +200,7 @@ impl Verifier {
     /// Per-conflict unifying-search time limit.
     #[must_use]
     pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
+        self.config.search.time_limit = limit;
         self
     }
 
@@ -208,14 +209,14 @@ impl Verifier {
     /// nonunifying fallbacks still render).
     #[must_use]
     pub fn total_limit(mut self, limit: Duration) -> Self {
-        self.total_limit = Some(limit);
+        self.config.cumulative_limit = limit;
         self
     }
 
     /// Worker threads for the conflict fan-out (`0` = one per CPU).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+        self.config.workers = workers;
         self
     }
 
@@ -272,16 +273,9 @@ impl Verifier {
     }
 
     fn run(mut self, source: GrammarSource, label: &str) -> Result<Verified, VerifyError> {
-        let mut req = AnalysisRequest::new(source).label(label);
-        if let Some(d) = self.time_limit {
-            req = req.time_limit(d);
-        }
-        if let Some(d) = self.total_limit {
-            req = req.cumulative_limit(d);
-        }
-        if let Some(w) = self.workers {
-            req = req.workers(w);
-        }
+        let req = AnalysisRequest::new(source)
+            .label(label)
+            .config(self.config);
         let reply = Session::new().analyze(&req)?;
         let verified = Verified {
             label: label.to_owned(),

@@ -109,11 +109,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use lalrcex_core::{contain, CancelToken, PrecomputeTimes};
+use lalrcex_core::{contain, CancelToken, CexConfig, GrammarReport, PrecomputeTimes};
 use lalrcex_lint::Severity;
 
 use crate::api::json::{self, obj, Json};
-use crate::api::{AnalysisRequest, Error, GrammarFormat, GrammarSource, Session};
+use crate::api::{
+    AnalysisReply, AnalysisRequest, Error, ExplainReply, GrammarFormat, GrammarSource, Session,
+};
 
 /// The protocol version stamped on every response line.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -187,6 +189,22 @@ struct Counters {
     request_retries: AtomicU64,
 }
 
+impl Counters {
+    /// Appends the five supervision counters `stats` and `health` both
+    /// report.
+    fn supervision(&self, b: json::ObjBuilder) -> json::ObjBuilder {
+        b.push("overloaded", counter_json(&self.overloaded))
+            .push("too_large", counter_json(&self.too_large))
+            .push("deadline_expired", counter_json(&self.expired))
+            .push("slot_retries", counter_json(&self.slot_retries))
+            .push("request_retries", counter_json(&self.request_retries))
+    }
+}
+
+fn counter_json(c: &AtomicU64) -> Json {
+    Json::num(c.load(Ordering::Relaxed) as f64)
+}
+
 struct Shared<W: Write> {
     out: Mutex<W>,
     session: Session,
@@ -258,6 +276,21 @@ fn error_response(id: Option<&str>, kind: &str, message: &str) -> Json {
         .build()
 }
 
+/// The error response for a typed [`Error`]: its `kind` and `message`,
+/// then the members `details` adds.
+fn typed_error(
+    id: Option<&str>,
+    err: &Error,
+    details: impl FnOnce(json::ObjBuilder) -> json::ObjBuilder,
+) -> Json {
+    let error = obj()
+        .push("kind", Json::str(err.kind()))
+        .push("message", Json::str(err.to_string()));
+    envelope(id, false)
+        .push("error", details(error).build())
+        .build()
+}
+
 /// The admission-control shed response: `overloaded`, with the caps and a
 /// deterministic `retry_after_ms` backoff hint that scales with the load
 /// the client just observed.
@@ -268,34 +301,20 @@ fn overloaded_response(id: &str, inflight: usize, limit: usize) -> Json {
         limit,
         retry_after_ms,
     };
-    envelope(Some(id), false)
-        .push(
-            "error",
-            obj()
-                .push("kind", Json::str(err.kind()))
-                .push("message", Json::str(err.to_string()))
-                .push("inflight", Json::num(inflight as f64))
-                .push("limit", Json::num(limit as f64))
-                .push("retry_after_ms", Json::num(retry_after_ms as f64))
-                .build(),
-        )
-        .build()
+    typed_error(Some(id), &err, |e| {
+        e.push("inflight", Json::num(inflight as f64))
+            .push("limit", Json::num(limit as f64))
+            .push("retry_after_ms", Json::num(retry_after_ms as f64))
+    })
 }
 
 /// The admission-control shed response for an over-cap grammar.
 fn too_large_response(id: &str, actual: usize, limit: usize) -> Json {
     let err = Error::TooLarge { limit, actual };
-    envelope(Some(id), false)
-        .push(
-            "error",
-            obj()
-                .push("kind", Json::str(err.kind()))
-                .push("message", Json::str(err.to_string()))
-                .push("limit", Json::num(limit as f64))
-                .push("actual", Json::num(actual as f64))
-                .build(),
-        )
-        .build()
+    typed_error(Some(id), &err, |e| {
+        e.push("limit", Json::num(limit as f64))
+            .push("actual", Json::num(actual as f64))
+    })
 }
 
 /// How one bounded line read ended.
@@ -368,28 +387,28 @@ fn unsupported_format_response(id: Option<&str>, format: &str) -> Json {
     let err = Error::UnsupportedFormat {
         format: format.to_owned(),
     };
-    envelope(id, false)
-        .push(
-            "error",
-            obj()
-                .push("kind", Json::str(err.kind()))
-                .push("message", Json::str(err.to_string()))
-                .push("format", Json::str(format))
-                .build(),
-        )
-        .build()
+    typed_error(id, &err, |e| e.push("format", Json::str(format)))
 }
 
-/// Extracts the per-request analysis settings from a parsed request.
+/// Extracts the per-request analysis settings from a parsed request: the
+/// [`CexConfig`] defaults, overridden by the members the request sends.
 fn analysis_request(
     req: &Json,
     grammar: GrammarSource,
     workers_cap: usize,
     deadline: Option<Instant>,
 ) -> AnalysisRequest {
-    let ms = |key: &str, default: u64| -> Duration {
-        Duration::from_millis(req.get(key).and_then(Json::as_u64).unwrap_or(default))
+    let ms = |key: &str| {
+        req.get(key)
+            .and_then(Json::as_u64)
+            .map(Duration::from_millis)
     };
+    let mut cfg = CexConfig::default();
+    cfg.search.time_limit = ms("time_limit_ms").unwrap_or(cfg.search.time_limit);
+    cfg.cumulative_limit = ms("total_limit_ms").unwrap_or(cfg.cumulative_limit);
+    if let Some(extended) = req.get("extended").and_then(Json::as_bool) {
+        cfg.search.extended = extended;
+    }
     let requested = req
         .get("workers")
         .and_then(Json::as_u64)
@@ -397,7 +416,7 @@ fn analysis_request(
         .unwrap_or(0);
     // `0` (or absent) takes the fair share; an explicit request is honored
     // up to the share, so one request cannot starve the others.
-    let workers = if requested == 0 {
+    cfg.workers = if requested == 0 {
         workers_cap
     } else {
         requested.min(workers_cap)
@@ -409,10 +428,7 @@ fn analysis_request(
                 .unwrap_or("<memory>")
                 .to_owned(),
         )
-        .time_limit(ms("time_limit_ms", 5_000))
-        .cumulative_limit(ms("total_limit_ms", 120_000))
-        .workers(workers)
-        .extended(req.get("extended").and_then(Json::as_bool).unwrap_or(false));
+        .config(cfg);
     if let Some(d) = deadline {
         request = request.deadline(d);
     }
@@ -430,7 +446,7 @@ fn note_expiry<W: Write>(shared: &Shared<W>, deadline: Option<Instant>) -> bool 
 }
 
 /// The supervised path every `analyze`, `explain` and `lint` request
-/// shares: reads the grammar and its format, runs `run` inside the
+/// shares: counts the request, reads the grammar and its format, runs `run` inside the
 /// `serve.request` containment boundary (on top of the engine's
 /// per-phase boundaries, so whatever a faulted request does, the serve
 /// loop answers and keeps going), and maps every failure to the same
@@ -451,6 +467,12 @@ fn supervised<W: Write, R>(
     deadline: Option<Instant>,
     run: impl Fn(&AnalysisRequest) -> Result<R, Error>,
 ) -> Result<(R, AnalysisRequest), Json> {
+    let counter = match op {
+        "analyze" => &shared.counters.analyze,
+        "explain" => &shared.counters.explain,
+        _ => &shared.counters.lint,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     let Some(grammar) = req.get("grammar").and_then(Json::as_str) else {
         let message = format!("{op} requires a `grammar` string");
         return Err(error_response(Some(id), "protocol", &message));
@@ -485,86 +507,60 @@ fn supervised<W: Write, R>(
     }
 }
 
-fn handle_analyze<W: Write>(
-    shared: &Shared<W>,
-    id: &str,
-    req: &Json,
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-) -> Result<Json, Json> {
-    shared.counters.analyze.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    let (mut reply, request) = supervised(shared, id, "analyze", req, &cancel, deadline, |r| {
-        shared.session.analyze(r)
-    })?;
-    // Slot-level supervision: re-run each contained `Internal` conflict
-    // slot once; transient faults recover in place.
-    let mut retried_slots = 0;
-    if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
-        retried_slots = shared.session.retry_internal_slots(&mut reply, &request);
-        shared
-            .counters
-            .slot_retries
-            .fetch_add(retried_slots, Ordering::Relaxed);
-    }
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let expired = note_expiry(shared, deadline);
-    let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
-    Ok(envelope(Some(id), true)
-        .push("op", Json::str("analyze"))
-        .push(
-            "cache",
-            Json::str(if reply.cache_hit { "hit" } else { "miss" }),
-        )
-        .push("elapsed_ms", Json::Num(elapsed_ms))
-        .push("cancelled", Json::Bool(cancelled))
-        .push("deadline_expired", Json::Bool(expired))
-        .push("retried_slots", Json::num(retried_slots as f64))
-        .push(
-            "internal_count",
-            Json::num(reply.report.internal_count() as u32),
-        )
-        .push("report", reply.to_json())
-        .build())
+/// What the `analyze` and `explain` replies share: the §5 report, the
+/// cache temperature, one retry of each contained `Internal` slot, and
+/// the members that follow the shared response head.
+trait ReportReply {
+    /// The protocol op the reply answers.
+    const OP: &'static str;
+    fn report(&self) -> &GrammarReport;
+    fn cache_hit(&self) -> bool;
+    fn retry_slots(&mut self, session: &Session, request: &AnalysisRequest) -> u64;
+    fn members(&self, head: json::ObjBuilder) -> json::ObjBuilder;
 }
 
-fn handle_explain<W: Write>(
-    shared: &Shared<W>,
-    id: &str,
-    req: &Json,
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-) -> Result<Json, Json> {
-    shared.counters.explain.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    let (mut reply, request) = supervised(shared, id, "explain", req, &cancel, deadline, |r| {
-        shared.session.explain(r)
-    })?;
-    let mut retried_slots = 0;
-    if reply.report.internal_count() > 0 && !cancel.is_cancelled() {
-        retried_slots = shared
-            .session
-            .retry_internal_explain_slots(&mut reply, &request);
-        shared
-            .counters
-            .slot_retries
-            .fetch_add(retried_slots, Ordering::Relaxed);
+impl ReportReply for AnalysisReply {
+    const OP: &'static str = "analyze";
+
+    fn report(&self) -> &GrammarReport {
+        &self.report
     }
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let expired = note_expiry(shared, deadline);
-    let cancelled = cancel.is_cancelled() || reply.report.cancelled_count() > 0;
-    let counts = reply.provenance.counts();
-    Ok(envelope(Some(id), true)
-        .push("op", Json::str("explain"))
-        .push(
-            "cache",
-            Json::str(if reply.cache_hit { "hit" } else { "miss" }),
+
+    fn cache_hit(&self) -> bool {
+        self.cache_hit
+    }
+
+    fn retry_slots(&mut self, session: &Session, request: &AnalysisRequest) -> u64 {
+        session.retry_internal_slots(self, request)
+    }
+
+    fn members(&self, head: json::ObjBuilder) -> json::ObjBuilder {
+        head.push(
+            "internal_count",
+            Json::num(self.report.internal_count() as u32),
         )
-        .push("elapsed_ms", Json::Num(elapsed_ms))
-        .push("cancelled", Json::Bool(cancelled))
-        .push("deadline_expired", Json::Bool(expired))
-        .push("retried_slots", Json::num(retried_slots as f64))
-        .push(
+        .push("report", self.to_json())
+    }
+}
+
+impl ReportReply for ExplainReply {
+    const OP: &'static str = "explain";
+
+    fn report(&self) -> &GrammarReport {
+        &self.report
+    }
+
+    fn cache_hit(&self) -> bool {
+        self.cache_hit
+    }
+
+    fn retry_slots(&mut self, session: &Session, request: &AnalysisRequest) -> u64 {
+        session.retry_internal_explain_slots(self, request)
+    }
+
+    fn members(&self, head: json::ObjBuilder) -> json::ObjBuilder {
+        let counts = self.provenance.counts();
+        head.push(
             "classification",
             obj()
                 .push(
@@ -579,8 +575,50 @@ fn handle_explain<W: Write>(
                 .push("internal", Json::num(counts.internal as f64))
                 .build(),
         )
-        .push("report", reply.to_json())
-        .build())
+        .push("report", self.to_json())
+    }
+}
+
+/// An `analyze` or `explain` request, answered by `run`: the supervised
+/// run, slot-level supervision, and the response head both ops share.
+fn handle_report<W: Write, R: ReportReply>(
+    shared: &Shared<W>,
+    id: &str,
+    req: &Json,
+    cancel: CancelToken,
+    deadline: Option<Instant>,
+    run: fn(&Session, &AnalysisRequest) -> Result<R, Error>,
+) -> Result<Json, Json> {
+    let started = Instant::now();
+    let (mut reply, request) = supervised(shared, id, R::OP, req, &cancel, deadline, |r| {
+        run(&shared.session, r)
+    })?;
+    // Slot-level supervision: re-run each contained `Internal` conflict
+    // slot once; transient faults recover in place.
+    let mut retried_slots = 0;
+    if reply.report().internal_count() > 0 && !cancel.is_cancelled() {
+        retried_slots = reply.retry_slots(&shared.session, &request);
+        shared
+            .counters
+            .slot_retries
+            .fetch_add(retried_slots, Ordering::Relaxed);
+    }
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+    let expired = note_expiry(shared, deadline);
+    let cancelled = cancel.is_cancelled() || reply.report().cancelled_count() > 0;
+    let head = envelope(Some(id), true)
+        .push("op", Json::str(R::OP))
+        .push("cache", cache_json(reply.cache_hit()))
+        .push("elapsed_ms", Json::Num(elapsed_ms))
+        .push("cancelled", Json::Bool(cancelled))
+        .push("deadline_expired", Json::Bool(expired))
+        .push("retried_slots", Json::num(retried_slots as f64));
+    Ok(reply.members(head).build())
+}
+
+/// A reply's `cache` member.
+fn cache_json(hit: bool) -> Json {
+    Json::str(if hit { "hit" } else { "miss" })
 }
 
 fn handle_lint<W: Write>(
@@ -589,7 +627,6 @@ fn handle_lint<W: Write>(
     req: &Json,
     deadline: Option<Instant>,
 ) -> Result<Json, Json> {
-    shared.counters.lint.fetch_add(1, Ordering::Relaxed);
     // Lint takes no cancel token: a fresh one keeps its whole-request
     // retry unconditional.
     let (reply, _) = supervised(
@@ -621,10 +658,7 @@ fn handle_lint<W: Write>(
         .map_or(Json::Null, |s: Severity| Json::str(s.label()));
     Ok(envelope(Some(id), true)
         .push("op", Json::str("lint"))
-        .push(
-            "cache",
-            Json::str(if reply.cache_hit { "hit" } else { "miss" }),
-        )
+        .push("cache", cache_json(reply.cache_hit))
         .push("deadline_expired", Json::Bool(expired))
         .push("diagnostics", diagnostics)
         .push("worst", worst)
@@ -659,7 +693,6 @@ fn handle_stats<W: Write>(shared: &Shared<W>, id: &str) {
     } else {
         Json::num(cache.budget_bytes as f64)
     };
-    let count = |c: &AtomicU64| Json::num(c.load(Ordering::Relaxed) as f64);
     let response = envelope(Some(id), true)
         .push("op", Json::str("stats"))
         .push(
@@ -677,25 +710,16 @@ fn handle_stats<W: Write>(shared: &Shared<W>, id: &str) {
         .push(
             "requests",
             obj()
-                .push("analyze", count(&shared.counters.analyze))
-                .push("explain", count(&shared.counters.explain))
-                .push("lint", count(&shared.counters.lint))
-                .push("cancel", count(&shared.counters.cancel))
-                .push("stats", count(&shared.counters.stats))
-                .push("health", count(&shared.counters.health))
-                .push("errors", count(&shared.counters.errors))
+                .push("analyze", counter_json(&shared.counters.analyze))
+                .push("explain", counter_json(&shared.counters.explain))
+                .push("lint", counter_json(&shared.counters.lint))
+                .push("cancel", counter_json(&shared.counters.cancel))
+                .push("stats", counter_json(&shared.counters.stats))
+                .push("health", counter_json(&shared.counters.health))
+                .push("errors", counter_json(&shared.counters.errors))
                 .build(),
         )
-        .push(
-            "supervision",
-            obj()
-                .push("overloaded", count(&shared.counters.overloaded))
-                .push("too_large", count(&shared.counters.too_large))
-                .push("deadline_expired", count(&shared.counters.expired))
-                .push("slot_retries", count(&shared.counters.slot_retries))
-                .push("request_retries", count(&shared.counters.request_retries))
-                .build(),
-        )
+        .push("supervision", shared.counters.supervision(obj()).build())
         .push("inflight", Json::num(shared.inflight_len() as f64))
         .build();
     shared.respond(response, true);
@@ -723,7 +747,6 @@ fn handle_health<W: Write>(shared: &Shared<W>, id: &str) {
     } else {
         "ok"
     };
-    let count = |c: &AtomicU64| Json::num(c.load(Ordering::Relaxed) as f64);
     let response = envelope(Some(id), true)
         .push("op", Json::str("health"))
         .push("status", Json::str(status))
@@ -738,14 +761,13 @@ fn handle_health<W: Write>(shared: &Shared<W>, id: &str) {
         )
         .push(
             "counters",
-            obj()
-                .push("served", count(&shared.counters.served))
-                .push("errors", count(&shared.counters.errors))
-                .push("overloaded", count(&shared.counters.overloaded))
-                .push("too_large", count(&shared.counters.too_large))
-                .push("deadline_expired", count(&shared.counters.expired))
-                .push("slot_retries", count(&shared.counters.slot_retries))
-                .push("request_retries", count(&shared.counters.request_retries))
+            shared
+                .counters
+                .supervision(
+                    obj()
+                        .push("served", counter_json(&shared.counters.served))
+                        .push("errors", counter_json(&shared.counters.errors)),
+                )
                 .build(),
         )
         .build();
@@ -950,8 +972,12 @@ pub fn serve<R: BufRead, W: Write + Send>(
                     // never counts a request that has already answered.
                     scope.spawn(move || {
                         let handled = match op.as_str() {
-                            "analyze" => handle_analyze(shared, &id, &req, cancel, deadline),
-                            "explain" => handle_explain(shared, &id, &req, cancel, deadline),
+                            "analyze" => {
+                                handle_report(shared, &id, &req, cancel, deadline, Session::analyze)
+                            }
+                            "explain" => {
+                                handle_report(shared, &id, &req, cancel, deadline, Session::explain)
+                            }
                             _ => handle_lint(shared, &id, &req, deadline),
                         };
                         let (response, ok) = match handled {
