@@ -107,4 +107,7 @@ cargo test -q --release --manifest-path perfbench/Cargo.toml
 echo "==> corpus lint snapshot"
 cargo run -q --release -p lalrcex-lint --bin lint-snapshot -- --check
 
+echo "==> non-test line counts (information only, not a gate)"
+scripts/loc.sh crates/cli/src/main.rs crates/bench/src/lib.rs
+
 echo "OK"
