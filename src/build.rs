@@ -285,12 +285,7 @@ impl Verifier {
         if reply.report.reports.is_empty() {
             return Ok(verified);
         }
-        let internal = reply
-            .report
-            .reports
-            .iter()
-            .filter(|r| matches!(r.outcome, lalrcex_core::ConflictOutcome::Internal(_)))
-            .count();
+        let internal = reply.report.internal_count();
         let unifying = reply.report.unifying_count();
         let found = ConflictsFound {
             label: label.to_owned(),
