@@ -679,12 +679,14 @@ fn session_evict_forces_a_rebuild() {
     );
 }
 
-/// The serve loop's two supervision tiers, end to end. A one-shot fault in
-/// a conflict slot is healed by the slot retry: the response reports
-/// `retried_slots:1`, `internal_count:0`, and a report byte-identical to a
-/// clean run. A one-shot whole-request panic (the `serve.request` probe)
-/// is healed by the evict-and-rerun tier: same clean outcome, no error
-/// response ever emitted.
+/// The serve loop's two supervision tiers, end to end, for both report
+/// ops. A one-shot fault in a conflict slot is healed by the slot retry:
+/// the response reports `retried_slots:1`, no internal fault (`analyze`'s
+/// `internal_count:0`, `explain`'s `classification.internal:0`), and a
+/// report byte-identical to a clean run of the same op. A one-shot
+/// whole-request panic (the `serve.request` probe) is healed by the
+/// evict-and-rerun tier: same clean outcome, no error response ever
+/// emitted.
 #[test]
 fn serve_supervision_heals_one_shot_faults() {
     use lalrcex::api::json::{self, Json};
@@ -692,57 +694,70 @@ fn serve_supervision_heals_one_shot_faults() {
     use std::io::Cursor;
 
     let text = lalrcex::corpus::by_name("figure1").unwrap().text();
-    let analyze = format!(
-        r#"{{"op":"analyze","id":"a","grammar":{},"file":"figure1.y"}}"#,
-        Json::str(&text)
-    );
-    let run_one = |plan: FaultPlan| -> Json {
-        let _guard = install(plan);
-        let input = format!("{}\n{}\n", analyze, r#"{"op":"shutdown","id":"z"}"#);
-        let mut out = Vec::new();
-        let summary = serve(
-            Cursor::new(input.into_bytes()),
-            &mut out,
-            &ServeOptions {
-                workers: 1,
-                ..ServeOptions::default()
-            },
+    for op in ["analyze", "explain"] {
+        let request = format!(
+            r#"{{"op":"{op}","id":"a","grammar":{},"file":"figure1.y"}}"#,
+            Json::str(&text)
         );
-        assert!(summary.shutdown);
-        assert_eq!(summary.errors, 0, "supervision never leaks an error");
-        String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| json::parse(l).expect("valid response lines"))
-            .find(|r| r.get("id").and_then(Json::as_str) == Some("a"))
-            .expect("analyze response")
-    };
+        let run_one = |plan: FaultPlan| -> Json {
+            let _guard = install(plan);
+            let input = format!("{}\n{}\n", request, r#"{"op":"shutdown","id":"z"}"#);
+            let mut out = Vec::new();
+            let summary = serve(
+                Cursor::new(input.into_bytes()),
+                &mut out,
+                &ServeOptions {
+                    workers: 1,
+                    ..ServeOptions::default()
+                },
+            );
+            assert!(summary.shutdown);
+            assert_eq!(summary.errors, 0, "{op}: supervision never leaks an error");
+            String::from_utf8(out)
+                .unwrap()
+                .lines()
+                .map(|l| json::parse(l).expect("valid response lines"))
+                .find(|r| r.get("id").and_then(Json::as_str) == Some("a"))
+                .expect("report response")
+        };
+        // The op's own count of internal faults.
+        let internal = |r: &Json| match op {
+            "analyze" => r.get("internal_count").and_then(Json::as_u64),
+            _ => r
+                .get("classification")
+                .and_then(|c| c.get("internal"))
+                .and_then(Json::as_u64),
+        };
 
-    let clean = run_one(FaultPlan::new());
-    let report = |r: &Json| r.get("report").unwrap().to_string();
+        let clean = run_one(FaultPlan::new());
+        let report = |r: &Json| r.get("report").unwrap().to_string();
+        assert_eq!(internal(&clean), Some(0), "{op}: clean run");
 
-    // Tier 1: slot retry.
-    let slot = run_one(FaultPlan::new().trigger(0, "unify.expand", 1, FaultAction::Panic));
-    assert_eq!(slot.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(slot.get("retried_slots").and_then(Json::as_u64), Some(1));
-    assert_eq!(
-        slot.get("internal_count").and_then(Json::as_u64),
-        Some(0),
-        "the retried slot reports Completed, not Internal"
-    );
-    assert_eq!(
-        report(&slot),
-        report(&clean),
-        "healed run is byte-identical"
-    );
+        // Tier 1: slot retry.
+        let slot = run_one(FaultPlan::new().trigger(0, "unify.expand", 1, FaultAction::Panic));
+        assert_eq!(slot.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(slot.get("op").and_then(Json::as_str), Some(op));
+        assert_eq!(slot.get("retried_slots").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            internal(&slot),
+            Some(0),
+            "{op}: the retried slot reports Completed, not Internal"
+        );
+        assert_eq!(
+            report(&slot),
+            report(&clean),
+            "{op}: healed run is byte-identical"
+        );
 
-    // Tier 2: whole-request evict-and-rerun.
-    let whole = run_one(FaultPlan::new().trigger(NO_SCOPE, "serve.request", 1, FaultAction::Panic));
-    assert_eq!(whole.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(whole.get("internal_count").and_then(Json::as_u64), Some(0));
-    assert_eq!(
-        report(&whole),
-        report(&clean),
-        "the evicted engine rebuilds and the re-run matches clean"
-    );
+        // Tier 2: whole-request evict-and-rerun.
+        let whole =
+            run_one(FaultPlan::new().trigger(NO_SCOPE, "serve.request", 1, FaultAction::Panic));
+        assert_eq!(whole.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(internal(&whole), Some(0));
+        assert_eq!(
+            report(&whole),
+            report(&clean),
+            "{op}: the evicted engine rebuilds and the re-run matches clean"
+        );
+    }
 }
