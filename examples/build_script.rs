@@ -24,6 +24,7 @@
 
 use std::time::Duration;
 
+use lalrcex::api::{CexConfig, SearchConfig};
 use lalrcex::build::{Verifier, VerifyError};
 use lalrcex::{AnalysisRequest, GrammarSource, Session};
 
@@ -52,12 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    byte for byte: a build-script failure and a `lalrcex cex` run
     //    never disagree about the same grammar.
     let dsl = lalrcex::corpus::by_name("figure1").expect("corpus").text();
-    let reply = Session::new().analyze(
-        &AnalysisRequest::new(GrammarSource::dsl(dsl))
-            .time_limit(Duration::from_secs(600))
-            .cumulative_limit(Duration::from_secs(3600))
-            .workers(1),
-    )?;
+    let reply = Session::new().analyze(&AnalysisRequest::new(GrammarSource::dsl(dsl)).config(
+        CexConfig {
+            search: SearchConfig {
+                time_limit: Duration::from_secs(600),
+                ..SearchConfig::default()
+            },
+            cumulative_limit: Duration::from_secs(3600),
+            workers: 1,
+        },
+    ))?;
     assert_eq!(
         found.report,
         reply.render_text(),

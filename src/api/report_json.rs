@@ -54,7 +54,9 @@ pub fn explain_document(
     document(label, g, states, resolutions, report, Some(provenance))
 }
 
-fn document(
+/// The one builder behind both documents: the `provenance` block rides
+/// along when `provenance` is `Some`.
+pub(crate) fn document(
     label: &str,
     g: &Grammar,
     states: usize,

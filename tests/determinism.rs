@@ -221,7 +221,8 @@ fn precancelled_token_explores_nothing() {
     cancel.cancel();
     for workers in [2, 1] {
         let cfg = generous(workers);
-        let report = Engine::new(&g).analyze_all_cancellable(&cfg, cfg.cumulative_limit, &cancel);
+        let deadline = std::time::Instant::now() + cfg.cumulative_limit;
+        let report = Engine::new(&g).analyze_all_cancellable(&cfg, deadline, &cancel);
         assert_eq!(report.stats.search.explored, 0, "no work after cancel");
         for r in &report.reports {
             assert_ne!(r.kind(), Some(ExampleKind::Unifying));
@@ -242,9 +243,7 @@ fn explain_is_deterministic_across_workers_and_cache_state() {
     let req = |workers: usize| {
         AnalysisRequest::new(&text)
             .label("figure1.y")
-            .time_limit(Duration::from_secs(30))
-            .cumulative_limit(Duration::from_secs(600))
-            .workers(workers)
+            .config(generous(workers))
     };
 
     let session = Session::new();
@@ -253,8 +252,8 @@ fn explain_is_deterministic_across_workers_and_cache_state() {
     let warm = session.explain(&req(1)).expect("warm explain");
     assert!(warm.cache_hit, "second explain hits the cache");
     assert_eq!(
-        cold.render_text(None),
-        warm.render_text(None),
+        cold.render_explain(None),
+        warm.render_explain(None),
         "cold vs warm cache"
     );
     assert_eq!(
@@ -266,8 +265,8 @@ fn explain_is_deterministic_across_workers_and_cache_state() {
     // A fresh session at a different worker count: byte-identical still.
     let wide = Session::new().explain(&req(4)).expect("workers=4 explain");
     assert_eq!(
-        cold.render_text(None),
-        wide.render_text(None),
+        cold.render_explain(None),
+        wide.render_explain(None),
         "workers=1 vs workers=4"
     );
     assert_eq!(
@@ -277,8 +276,8 @@ fn explain_is_deterministic_across_workers_and_cache_state() {
     );
 
     // Single-conflict rendering is a strict filter of the full rendering.
-    let one = cold.render_text(Some(0));
-    assert!(cold.render_text(None).contains("== conflict #0 =="));
+    let one = cold.render_explain(Some(0));
+    assert!(cold.render_explain(None).contains("== conflict #0 =="));
     assert!(one.contains("== conflict #0 ==") && !one.contains("== conflict #1 =="));
 }
 
@@ -345,9 +344,7 @@ fn warm_verdicts_match_cold_reports() {
         let req = |workers: usize| {
             AnalysisRequest::new(&text)
                 .label(name)
-                .time_limit(Duration::from_secs(30))
-                .cumulative_limit(Duration::from_secs(600))
-                .workers(workers)
+                .config(generous(workers))
         };
         let cold = Session::new().analyze(&req(1)).expect("cold analyze");
         let (cold_text, cold_json) = (cold.render_text(), cold.to_json().to_string());

@@ -12,6 +12,7 @@
 use std::time::Duration;
 
 use lalrcex::api::json::{self, Json};
+use lalrcex::api::{CexConfig, SearchConfig};
 use lalrcex::{AnalysisRequest, Session};
 
 /// The figure1 analysis is fully deterministic under default budgets (the
@@ -92,8 +93,14 @@ fn documents_are_byte_identical_cold_warm_and_across_workers() {
             .analyze(
                 &AnalysisRequest::new(text.as_str())
                     .label("figure1.y")
-                    .workers(workers)
-                    .time_limit(Duration::from_secs(3600)),
+                    .config(CexConfig {
+                        search: SearchConfig {
+                            time_limit: Duration::from_secs(3600),
+                            ..SearchConfig::default()
+                        },
+                        workers,
+                        ..CexConfig::default()
+                    }),
             )
             .unwrap();
         docs.push(reply.to_json().to_string());
