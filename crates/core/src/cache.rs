@@ -54,6 +54,10 @@ use crate::stats::PrecomputeTimes;
 /// How many never-hit entries may stay resident (see the module docs).
 pub const MAX_UNREUSED: usize = 32;
 
+/// The byte budget in MiB that every front end's cache starts from: a new
+/// `Session`, `lalrcex serve` and `lalrcex batch`.
+pub const DEFAULT_BUDGET_MB: usize = 256;
+
 /// 64-bit FNV-1a over the grammar text: the cache key.
 pub fn content_hash(text: &str) -> u64 {
     tagged_hash(0, text)
