@@ -2,18 +2,9 @@
 //! complexity, conflict counts, counterexample kinds, and timings — with
 //! the paper's reported numbers printed alongside for comparison.
 //!
-//! ```text
-//! USAGE: table1 [--fast] [--baseline] [--only NAME] [--time-limit SECS]
-//!               [--workers N]
-//!
-//!   --fast             skip the four largest grammars (java-ext*, Java.2)
-//!   --baseline         also run the grammar-filtered bounded search
-//!                      (CFGAnalyzer stand-in) per grammar — slow
-//!   --only NAME        run a single row
-//!   --time-limit SECS  per-conflict unifying budget (default 5)
-//!   --workers N        worker threads for the per-conflict fan-out
-//!                      (default 0 = one per CPU)
-//! ```
+//! The options are listed in `USAGE` below. A malformed argument (an
+//! unknown flag, a missing or non-numeric value, an `--only` name that is
+//! no corpus grammar) prints it and exits 2.
 
 #![forbid(unsafe_code)]
 
@@ -23,33 +14,78 @@ use lalrcex_baselines::amber::Budget;
 use lalrcex_bench::{fmt_secs, geometric_mean, run_baseline, run_entry, Row};
 use lalrcex_core::CexConfig;
 
-fn main() {
-    let mut fast = false;
-    let mut baseline = false;
-    let mut only: Option<String> = None;
+const USAGE: &str = "\
+usage: table1 [--fast] [--baseline] [--only NAME] [--time-limit SECS]
+              [--workers N]
+
+  --fast             skip the four largest grammars (java-ext*, Java.2)
+  --baseline         also run the grammar-filtered bounded search
+                     (CFGAnalyzer stand-in) per grammar — slow
+  --only NAME        run a single row
+  --time-limit SECS  per-conflict unifying budget (default 5)
+  --workers N        worker threads for the per-conflict fan-out
+                     (default 0 = one per CPU)";
+
+/// What the command line asks for.
+#[derive(Debug)]
+struct Args {
+    fast: bool,
+    baseline: bool,
+    only: Option<String>,
+    cfg: CexConfig,
+}
+
+/// Parses the arguments after the program name; `Err` names the first
+/// malformed one.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     // The paper's limits (5 s per conflict, 2 minutes in all) are the
     // `CexConfig` defaults.
-    let mut cfg = CexConfig::default();
-    let default_limit = cfg.search.time_limit;
-    let mut args = std::env::args().skip(1);
+    let mut parsed = Args {
+        fast: false,
+        baseline: false,
+        only: None,
+        cfg: CexConfig::default(),
+    };
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or(format!("{a} needs a value"));
         match a.as_str() {
-            "--fast" => fast = true,
-            "--baseline" => baseline = true,
-            "--only" => only = args.next(),
+            "--fast" => parsed.fast = true,
+            "--baseline" => parsed.baseline = true,
+            "--only" => {
+                let name = value()?;
+                if lalrcex_corpus::by_name(&name).is_none() {
+                    return Err(format!("no corpus grammar named {name:?}"));
+                }
+                parsed.only = Some(name);
+            }
             "--time-limit" => {
-                cfg.search.time_limit = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .map_or(default_limit, Duration::from_secs)
+                let secs = value()?;
+                let secs = secs
+                    .parse()
+                    .map_err(|_| format!("bad --time-limit {secs:?}"))?;
+                parsed.cfg.search.time_limit = Duration::from_secs(secs);
             }
-            "--workers" => cfg.workers = args.next().and_then(|s| s.parse().ok()).unwrap_or(0),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
+            "--workers" => {
+                let n = value()?;
+                parsed.cfg.workers = n.parse().map_err(|_| format!("bad --workers {n:?}"))?;
             }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
+    Ok(parsed)
+}
+
+fn main() {
+    let Args {
+        fast,
+        baseline,
+        only,
+        cfg,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("table1: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let heavy = ["java-ext1", "java-ext2", "Java.2"];
     println!(
@@ -174,6 +210,65 @@ fn main() {
         println!(
             "baseline comparison: filtered bounded search is {gm:.1}x slower per ambiguity \
              than our per-conflict average (paper: 10.7x, geometric mean)"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_arguments_are_rejected() {
+        for bad in [
+            &["--time-limit", "soon"][..],
+            &["--workers", "x"],
+            &["--only", "NOSUCH"],
+            &["--time-limit"],
+            &["--only"],
+            &["--bogus"],
+            &[
+                "--time-limit",
+                "soon",
+                "--workers",
+                "x",
+                "--only",
+                "figure1",
+            ],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn valid_arguments_set_the_config() {
+        let none = parse(&[]).unwrap();
+        assert!(!none.fast && !none.baseline && none.only.is_none());
+        assert_eq!(none.cfg.search.time_limit, Duration::from_secs(5));
+        assert_eq!(none.cfg.workers, 0);
+
+        let all = parse(&[
+            "--fast",
+            "--baseline",
+            "--only",
+            "figure1",
+            "--time-limit",
+            "7",
+            "--workers",
+            "2",
+        ])
+        .unwrap();
+        assert!(all.fast && all.baseline);
+        assert_eq!(all.only.as_deref(), Some("figure1"));
+        assert_eq!(all.cfg.search.time_limit, Duration::from_secs(7));
+        assert_eq!(all.cfg.workers, 2);
+        assert_eq!(
+            all.cfg.cumulative_limit,
+            CexConfig::default().cumulative_limit
         );
     }
 }
