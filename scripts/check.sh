@@ -108,6 +108,6 @@ echo "==> corpus lint snapshot"
 cargo run -q --release -p lalrcex-lint --bin lint-snapshot -- --check
 
 echo "==> non-test line counts (information only, not a gate)"
-scripts/loc.sh crates/cli/src/main.rs crates/bench/src/lib.rs
+scripts/loc.sh crates/cli/src/main.rs crates/bench/src/lib.rs src/api/mod.rs src/service.rs
 
 echo "OK"
