@@ -357,7 +357,7 @@ const MERGE_ARTIFACT_Y: &str = "crates/lint/fixtures/merge_artifact.y";
 /// output is deterministic.
 #[test]
 fn output_modes_match_goldens() {
-    let cases: [(&str, &[&str], i32); 19] = [
+    let cases: [(&str, &[&str], i32); 20] = [
         ("explain_figure1.txt", &["explain", FIGURE1_Y], 1),
         (
             "explain_figure1.json",
@@ -421,6 +421,7 @@ fn output_modes_match_goldens() {
             &["lint", "--format", "json", MERGE_ARTIFACT_Y],
             0,
         ),
+        ("lint_list.txt", &["lint", "--list"], 0),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();

@@ -5,9 +5,11 @@
 #   scripts/loc.sh              # per crate, src/ + src/api/, API snapshot
 #   scripts/loc.sh FILE...      # the same, plus one line per named file
 #
-# A file counts up to (not including) its first `#[cfg(test)]` line, or
-# whole when it has none. A crate counts the `.rs` files under its `src/`
-# (binaries included; `tests/` and `benches/` are test code). The last
+# A file counts every line outside the items `#[cfg(test)]` gates: the
+# attribute line and the item after it (through the `;` or the closing
+# brace that ends it) are skipped, wherever in the file they stand. A
+# crate counts the `.rs` files under its `src/` (binaries included;
+# `tests/` and `benches/` are test code). The last
 # line is the length of snapshots/public_api.txt, the facade's declared
 # surface.
 set -euo pipefail
@@ -17,7 +19,23 @@ cd "$(dirname "$0")/.."
 count() {
   local total=0 n f
   while IFS= read -r f; do
-    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+    n=$(awk '
+      /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+      skip {
+        # Brace depth of the gated item, with string and char literals
+        # and line comments blanked so their braces do not count.
+        code = $0
+        gsub(/"(\\.|[^"\\])*"/, "\"\"", code)
+        gsub(/\x27(\\.|[^\x27\\])\x27/, "\x27\x27", code)
+        sub(/\/\/.*$/, "", code)
+        opens = gsub(/\{/, "{", code)
+        depth += opens - gsub(/\}/, "}", code)
+        if (opens > 0) opened = 1
+        if ((opened && depth <= 0) || (!opened && code ~ /;[[:space:]]*$/)) skip = 0
+        next
+      }
+      { n++ }
+      END { print n + 0 }' "$f")
     total=$((total + n))
   done
   echo "$total"
