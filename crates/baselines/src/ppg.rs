@@ -7,7 +7,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use lalrcex_earley::chart;
-use lalrcex_grammar::{Derivation, Grammar, SymbolId, SymbolKind};
+use lalrcex_grammar::{Grammar, SymbolId, SymbolKind};
 use lalrcex_lr::{Automaton, Conflict, Item, StateId};
 
 /// A PPG-style counterexample: a sentential form that takes the parser to
@@ -169,16 +169,6 @@ fn prefix_recognized(g: &Grammar, input: &[SymbolId]) -> bool {
         }
     }
     false
-}
-
-/// A derivation-of-prefix helper for display purposes: wraps the prefix as
-/// unexpanded leaves (PPG did not produce derivations).
-pub fn as_derivation(example: &PpgExample) -> Vec<Derivation> {
-    example
-        .claimed_form()
-        .iter()
-        .map(|&s| Derivation::Leaf(s))
-        .collect()
 }
 
 /// Convenience: run PPG on every conflict and report validity (used by the

@@ -118,7 +118,9 @@ fn lint_passes(cfg: MicroConfig, filter: Option<String>) {
     for name in ["figure1", "simp2", "SQL.1", "C.1"] {
         let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
         let linter = Linter::new();
-        group.bench(&format!("{name}/cold"), || linter.run_grammar(&g).len());
+        group.bench(&format!("{name}/cold"), || {
+            linter.run(&Engine::new(&g)).len()
+        });
         let engine = Engine::new(&g);
         group.bench(&format!("{name}/shared"), || linter.run(&engine).len());
     }

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use lalrcex_baselines::amber::Budget;
 use lalrcex_baselines::filtered::{self, FilteredOutcome};
-use lalrcex_core::{CexConfig, Engine, ExampleKind};
+use lalrcex_core::{CexConfig, Engine};
 use lalrcex_corpus::CorpusEntry;
 
 /// Everything measured for one Table 1 row.
@@ -146,17 +146,6 @@ pub fn geometric_mean(ratios: &[f64]) -> Option<f64> {
         None
     } else {
         Some((logs.iter().sum::<f64>() / logs.len() as f64).exp())
-    }
-}
-
-/// Kind label used in the summary output.
-pub fn kind_label(kind: ExampleKind) -> &'static str {
-    match kind {
-        ExampleKind::Unifying => "unifying",
-        ExampleKind::NonunifyingExhausted => "nonunifying",
-        ExampleKind::NonunifyingTimeout => "timeout",
-        ExampleKind::NonunifyingSkipped => "skipped",
-        ExampleKind::Cancelled => "cancelled",
     }
 }
 

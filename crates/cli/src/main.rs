@@ -634,16 +634,14 @@ fn parse_lint_args(args: Vec<String>) -> LintOptions {
 /// The `lalrcex lint` subcommand: run every static-analysis pass over the
 /// grammar and print spanned diagnostics.
 fn run_lint(args: Vec<String>) -> ExitCode {
-    use lalrcex_lint::{render_json, render_text, worst_severity, Linter, Severity};
+    use lalrcex_lint::{render_json, render_text, worst_severity, Severity, PASSES};
 
     let opts = parse_lint_args(args);
     if opts.list {
-        for pass in Linter::new().passes() {
+        for pass in &PASSES {
             println!(
                 "{} {:<28} {}",
-                pass.code().id,
-                pass.code().name,
-                pass.description()
+                pass.code.id, pass.code.name, pass.description
             );
         }
         return ExitCode::SUCCESS;

@@ -44,6 +44,7 @@ mod contain;
 pub mod engine;
 mod error;
 pub mod faultpoint;
+pub mod json;
 pub mod lssi;
 mod nonunifying;
 pub mod provenance;

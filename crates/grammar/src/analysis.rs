@@ -271,11 +271,6 @@ impl Analysis {
         (l < INFINITE).then_some(l)
     }
 
-    /// `true` if every symbol of `seq` is nullable.
-    pub fn seq_nullable(&self, _g: &Grammar, seq: &[SymbolId]) -> bool {
-        seq.iter().all(|&s| self.nullable[s.index()])
-    }
-
     /// FIRST of a sentential suffix: `FIRST(seq)`, unioned with `tail` when
     /// the whole of `seq` is nullable. This is the paper's
     /// `followL` building block (§4).
@@ -359,7 +354,6 @@ mod tests {
         assert!(a.nullable(s));
         assert!(a.nullable(av));
         assert!(!a.nullable(g.symbol_named("X").unwrap()));
-        assert!(a.seq_nullable(&g, &[s, av]));
         assert_eq!(a.eps_cost[g.ntindex(av)], 1);
         // s -> a b (1 node), a -> ε (1), b -> a (1) -> ε (1)
         assert_eq!(a.eps_cost[g.ntindex(s)], 4);

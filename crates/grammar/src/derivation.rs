@@ -118,16 +118,6 @@ impl Derivation {
     }
 }
 
-/// Renders a slice of derivations as one flat sentential form.
-pub fn flat_all(derivs: &[Derivation], g: &Grammar) -> String {
-    derivs
-        .iter()
-        .map(|d| d.flat(g))
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// The cheapest derivation of ε from `sym`, or `None` if `sym` is not
 /// nullable.
 pub fn eps_derivation(g: &Grammar, a: &Analysis, sym: SymbolId) -> Option<Derivation> {

@@ -38,9 +38,7 @@ mod symbol;
 mod text;
 
 pub use analysis::Analysis;
-pub use derivation::{
-    derive_seq_starting_with, derive_starting_with, eps_derivation, flat_all, Derivation,
-};
+pub use derivation::{derive_seq_starting_with, derive_starting_with, eps_derivation, Derivation};
 pub use grammar::{
     Assoc, Grammar, GrammarBuilder, GrammarError, Precedence, ProdId, Production, MAX_PRODUCTIONS,
     MAX_RHS_SYMBOLS,

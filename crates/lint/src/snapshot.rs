@@ -11,7 +11,8 @@
 //! node budget, not wall time) and diagnostics are sorted, so the snapshot
 //! is byte-identical across runs and machines.
 
-use crate::{lint, Diagnostic};
+use crate::{Diagnostic, Linter};
+use lalrcex_core::Engine;
 use lalrcex_grammar::Grammar;
 use std::collections::BTreeMap;
 
@@ -96,7 +97,7 @@ pub fn corpus_snapshot() -> String {
     for f in fixtures() {
         let g = Grammar::parse(f.text)
             .unwrap_or_else(|e| panic!("fixture {} fails to parse: {e}", f.name));
-        let diags = lint(&g);
+        let diags = Linter::new().run(&Engine::new(&g));
         push_section(&mut out, &format!("fixture:{}", f.name), &diags);
         tally(&mut totals, &diags);
     }
@@ -104,7 +105,7 @@ pub fn corpus_snapshot() -> String {
         let g = e
             .load()
             .unwrap_or_else(|err| panic!("corpus {} fails to parse: {err}", e.name));
-        let diags = lint(&g);
+        let diags = Linter::new().run(&Engine::new(&g));
         push_section(&mut out, &format!("corpus:{}", e.name), &diags);
         tally(&mut totals, &diags);
     }
@@ -124,7 +125,7 @@ pub fn corpus_counts() -> Vec<(String, BTreeMap<&'static str, usize>)> {
         .map(|e| {
             let g = e.load().expect("corpus grammar parses");
             let mut counts = BTreeMap::new();
-            for d in lint(&g) {
+            for d in Linter::new().run(&Engine::new(&g)) {
                 *counts.entry(d.code.id).or_insert(0) += 1;
             }
             (e.name.to_owned(), counts)
@@ -200,7 +201,7 @@ mod tests {
         let mut seen = BTreeSet::new();
         for f in fixtures() {
             let g = Grammar::parse(f.text).unwrap();
-            let diags = lint(&g);
+            let diags = Linter::new().run(&Engine::new(&g));
             assert!(
                 diags.iter().any(|d| d.code.id == f.expect),
                 "fixture {} should trigger {}; got {:?}",

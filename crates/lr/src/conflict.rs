@@ -2,7 +2,7 @@
 
 use lalrcex_grammar::{Grammar, ProdId, SymbolId};
 
-use crate::automaton::{Automaton, StateId};
+use crate::automaton::StateId;
 use crate::item::Item;
 
 /// The kind of a parsing conflict (§2.2–2.3 of the paper).
@@ -10,7 +10,7 @@ use crate::item::Item;
 pub enum ConflictKind {
     /// A shift action competes with a reduction. `shift_item` is a
     /// representative item of the state with the conflict terminal after
-    /// its dot (there may be several; see [`Conflict::shift_items`]).
+    /// its dot (there may be several).
     ShiftReduce {
         /// One item enabling the shift.
         shift_item: Item,
@@ -50,17 +50,6 @@ impl Conflict {
                 Item::new(other_prod, g.prod(other_prod).rhs().len())
             }
         }
-    }
-
-    /// Every item of the conflict state that can shift the conflict
-    /// terminal (nonempty exactly for shift/reduce conflicts).
-    pub fn shift_items(&self, g: &Grammar, auto: &Automaton) -> Vec<Item> {
-        auto.state(self.state)
-            .items()
-            .iter()
-            .copied()
-            .filter(|it| it.next_symbol(g) == Some(self.terminal))
-            .collect()
     }
 
     /// A one-line description in the style of CUP's report (Figure 11).

@@ -35,12 +35,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    The `.y` extension routes the text through the yacc frontend;
     //    the budgets are generous so the unifying searches always finish
     //    and the report is deterministic.
-    let verifier = || {
-        Verifier::new()
-            .time_limit(Duration::from_secs(600))
-            .total_limit(Duration::from_secs(3600))
-            .workers(1)
+    let generous = CexConfig {
+        search: SearchConfig {
+            time_limit: Duration::from_secs(600),
+            ..SearchConfig::default()
+        },
+        cumulative_limit: Duration::from_secs(3600),
+        workers: 1,
     };
+    let verifier = || Verifier::new().config(generous);
     let found = match verifier().verify_path(twin) {
         Err(VerifyError::Conflicts(found)) => found,
         other => return Err(format!("expected conflicts, got {other:?}").into()),
@@ -53,16 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    byte for byte: a build-script failure and a `lalrcex cex` run
     //    never disagree about the same grammar.
     let dsl = lalrcex::corpus::by_name("figure1").expect("corpus").text();
-    let reply = Session::new().analyze(&AnalysisRequest::new(GrammarSource::dsl(dsl)).config(
-        CexConfig {
-            search: SearchConfig {
-                time_limit: Duration::from_secs(600),
-                ..SearchConfig::default()
-            },
-            cumulative_limit: Duration::from_secs(3600),
-            workers: 1,
-        },
-    ))?;
+    let reply =
+        Session::new().analyze(&AnalysisRequest::new(GrammarSource::dsl(dsl)).config(generous))?;
     assert_eq!(
         found.report,
         reply.render_text(),

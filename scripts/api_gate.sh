@@ -2,8 +2,9 @@
 # Public-API gate for the `lalrcex` facade crate.
 #
 # The deliberate public surface (src/lib.rs, src/api/*, src/service.rs,
-# src/build.rs, src/prng.rs) is snapshotted, one declaration per line, into
-# snapshots/public_api.txt. Any drift — a new `pub` item, a changed
+# src/build.rs, src/prng.rs, and crates/core/src/json.rs, which
+# src/api/json.rs re-exports) is snapshotted, one declaration per line,
+# into snapshots/public_api.txt. Any drift — a new `pub` item, a changed
 # signature line, a removed re-export — fails the gate until the snapshot
 # is regenerated and the diff reviewed in the same change:
 #
@@ -18,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SNAPSHOT=snapshots/public_api.txt
-FILES=(src/lib.rs src/api/mod.rs src/api/source.rs src/api/json.rs src/api/report_json.rs src/service.rs src/build.rs src/prng.rs)
+FILES=(src/lib.rs src/api/mod.rs src/api/source.rs src/api/json.rs crates/core/src/json.rs src/api/report_json.rs src/service.rs src/build.rs src/prng.rs)
 
 extract() {
   for f in "${FILES[@]}"; do

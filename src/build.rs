@@ -35,7 +35,6 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use lalrcex_core::CexConfig;
 
@@ -197,26 +196,13 @@ impl Verifier {
         self
     }
 
-    /// Per-conflict unifying-search time limit.
+    /// Every search setting at once, as a [`CexConfig`] (the same type
+    /// [`AnalysisRequest::config`] takes). Build scripts that would rather
+    /// fail fast than search deeply set `cumulative_limit` low; the
+    /// nonunifying fallbacks still render.
     #[must_use]
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.config.search.time_limit = limit;
-        self
-    }
-
-    /// Cumulative search budget across all conflicts (build scripts that
-    /// would rather fail fast than search deeply set this low; the
-    /// nonunifying fallbacks still render).
-    #[must_use]
-    pub fn total_limit(mut self, limit: Duration) -> Self {
-        self.config.cumulative_limit = limit;
-        self
-    }
-
-    /// Worker threads for the conflict fan-out (`0` = one per CPU).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+    pub fn config(mut self, cfg: CexConfig) -> Self {
+        self.config = cfg;
         self
     }
 
@@ -310,10 +296,17 @@ mod tests {
     const CLEAN: &str = "%token NUM\n%% e : e '+' NUM | NUM ;";
     const AMBIG_Y: &str = "%% e : e '+' e { $$ = $1 + $3; } | NUM { $$ = $1; } ;";
 
+    fn one_worker() -> CexConfig {
+        CexConfig {
+            workers: 1,
+            ..CexConfig::default()
+        }
+    }
+
     #[test]
     fn clean_grammar_verifies() {
         let v = Verifier::new()
-            .workers(1)
+            .config(one_worker())
             .verify_source(CLEAN, "<clean>")
             .unwrap();
         assert_eq!(v.label, "<clean>");
@@ -323,7 +316,7 @@ mod tests {
     #[test]
     fn conflicts_render_the_cex_report() {
         let err = Verifier::new()
-            .workers(1)
+            .config(one_worker())
             .verify_source(AMBIG, "<ambig>")
             .unwrap_err();
         let VerifyError::Conflicts(found) = &err else {
@@ -339,7 +332,10 @@ mod tests {
 
     #[test]
     fn dsl_and_yacc_sources_render_identical_reports() {
-        let take = |src: GrammarSource| match Verifier::new().workers(1).verify_source(src, "<g>") {
+        let take = |src: GrammarSource| match Verifier::new()
+            .config(one_worker())
+            .verify_source(src, "<g>")
+        {
             Err(VerifyError::Conflicts(f)) => f.report,
             other => panic!("expected conflicts, got {:?}", other.err()),
         };
@@ -356,7 +352,7 @@ mod tests {
         let seen = Rc::new(Cell::new(0usize));
         let seen2 = Rc::clone(&seen);
         let err = Verifier::new()
-            .workers(1)
+            .config(one_worker())
             .on_conflicts(move |f| seen2.set(f.conflicts))
             .verify_source(AMBIG, "<cb>")
             .unwrap_err();

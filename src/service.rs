@@ -35,7 +35,7 @@
 //! document with a `provenance` classification block on every conflict
 //! and resolution (see [`crate::api::explain_document`]); `lint`
 //! responses embed the `diagnostics` array `lalrcex lint --format json`
-//! writes (one writer, [`lalrcex_lint::render_json`]). The `stats`
+//! writes (one builder, [`lalrcex_lint::diagnostics_json`]). The `stats`
 //! response lists per-cache-entry byte breakdowns (total charge and the
 //! provenance share),
 //! re-sampled at snapshot time so lazily built data is visible, each
@@ -111,7 +111,7 @@ use std::time::{Duration, Instant};
 
 use lalrcex_core::cache::DEFAULT_BUDGET_MB;
 use lalrcex_core::{contain, CancelToken, CexConfig, PrecomputeTimes};
-use lalrcex_lint::Severity;
+use lalrcex_lint::{diagnostics_json, Severity};
 
 use crate::api::json::{self, obj, Json};
 use crate::api::{AnalysisReply, AnalysisRequest, Error, GrammarFormat, GrammarSource, Session};
@@ -588,17 +588,6 @@ fn handle_lint<W: Write>(
         deadline,
         |r| shared.session.lint(r.source()),
     )?;
-    let doc = lalrcex_lint::render_json("", &reply.diagnostics);
-    let Some(diagnostics) = json::parse(&doc)
-        .ok()
-        .and_then(|d| d.get("diagnostics").cloned())
-    else {
-        return Err(error_response(
-            Some(id),
-            "internal",
-            "lint JSON did not parse",
-        ));
-    };
     let expired = note_expiry(shared, deadline);
     let worst = reply
         .diagnostics
@@ -610,7 +599,7 @@ fn handle_lint<W: Write>(
         .push("op", Json::str("lint"))
         .push("cache", cache_json(reply.cache_hit))
         .push("deadline_expired", Json::Bool(expired))
-        .push("diagnostics", diagnostics)
+        .push("diagnostics", diagnostics_json(&reply.diagnostics))
         .push("worst", worst)
         .build())
 }

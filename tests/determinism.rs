@@ -298,7 +298,7 @@ fn warm_lint_matches_a_cold_linter() {
     ] {
         let cold = render_json(
             "g.y",
-            &Linter::new().run_grammar(&Grammar::parse(text).unwrap()),
+            &Linter::new().run(&Engine::new(&Grammar::parse(text).unwrap())),
         );
         assert!(cold.contains(code), "{cold}");
         let session = Session::new();

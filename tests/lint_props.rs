@@ -8,9 +8,14 @@
 //! declarations so the precedence-sensitive passes (L008/L009) are
 //! exercised too. Every failure is reproducible from the printed seed.
 
+use lalrcex::core::Engine;
 use lalrcex::grammar::{Assoc, Grammar, GrammarBuilder};
-use lalrcex::lint::{lint, render_json, render_text, worst_severity, Linter, Severity};
+use lalrcex::lint::{render_json, render_text, worst_severity, Diagnostic, Linter, Severity};
 use lalrcex::prng::XorShift;
+
+fn lint(g: &Grammar) -> Vec<Diagnostic> {
+    Linter::new().run(&Engine::new(g))
+}
 
 const NT_COUNT: usize = 3;
 const T_COUNT: usize = 4;
@@ -106,7 +111,7 @@ fn lint_is_deterministic() {
         let a = lint(&g);
         let b = lint(&g);
         assert_eq!(a, b, "seed {seed}: diagnostics differ between runs");
-        let c = Linter::new().run_grammar(&g);
+        let c = Linter::new().run(&Engine::new(&g));
         assert_eq!(a, c, "seed {seed}: diagnostics differ between linters");
         assert_eq!(
             render_text("g.y", &a),
